@@ -2,8 +2,8 @@
 
 Sweeps the target accuracy over a log grid, runs a small seed batch at
 each level, and fits log(median queries) against log(1/eps).  The two
-zeroth-order methods separate cleanly: the recursive variant saves a
-full power of 1/eps.
+zeroth-order methods separate cleanly: the recursive variant saves two
+thirds of a power of 1/eps (exponent 7/3 instead of 3).
 """
 import numpy as np
 

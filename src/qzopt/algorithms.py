@@ -63,6 +63,10 @@ __all__ = [
 
 DEFAULT_BUDGET = 10**9
 
+# The coin stream is drawn this many uniforms at a time; uniform(size=k)
+# yields exactly the values of k scalar uniform() calls.
+_COIN_BLOCK = 4096
+
 
 @dataclass
 class QgfmParams:
@@ -280,10 +284,24 @@ def _finish(
     )
 
 
+def _coins(rng: np.random.Generator):
+    """The uniforms of a coin stream, one per next(), drawn in blocks."""
+    while True:
+        yield from rng.uniform(size=_COIN_BLOCK).tolist()
+
+
+def _step_len(x_next: np.ndarray, x: np.ndarray) -> float:
+    # np.linalg.norm of a 1-D float array is sqrt(v.dot(v))
+    v = x_next - x
+    return math.sqrt(v.dot(v))
+
+
 def _as_point(spec: ObjectiveSpec, x0: np.ndarray) -> np.ndarray:
     x = np.asarray(x0, dtype=float).copy()
     if x.shape != (spec.d,):
         raise ValueError(f"x0 must have shape ({spec.d},)")
+    if not np.isfinite(x).all():
+        raise ValueError("x0 must be finite")
     return x
 
 
@@ -315,7 +333,7 @@ def qgfm(
     exceeded = False
     prev = _counts(ledger)
     for t in range(params.T):
-        candidates.append(x.copy())
+        candidates.append(x)  # x is never modified in place
         est = estimate_grad(spec, x, smoothing, sigma1, model, est_rng, ledger, phase="refresh")
         g = est.value
         step = params.eta * g
@@ -360,36 +378,36 @@ def qgfm_plus(
     x = _as_point(spec, x0)
     sigma1 = math.sqrt(params.sigma1_sq)
     est_rng = substream(seed, "est")
-    coin_rng = substream(seed, "coin")
     ledger = QueryLedger()
     records: list[TraceRecord] = []
     candidates: list[np.ndarray] = []
     exceeded = False
     prev = _counts(ledger)
+    coins = _coins(substream(seed, "coin"))
+    eta, T, p, sqrt_kappa = params.eta, params.T, params.p, math.sqrt(params.kappa)
     g = estimate_grad(spec, x, smoothing, sigma1, model, est_rng, ledger, phase="init").value
-    for t in range(params.T):
-        candidates.append(x.copy())
+    for t in range(T):
+        candidates.append(x)  # x is never modified in place
         g_step = g
-        x_next = x - params.eta * g_step
+        x_next = x - eta * g_step
         theta = 1
-        if t + 1 < params.T:
-            theta = 1 if coin_rng.uniform() < params.p else 0
+        if t + 1 < T:
+            theta = 1 if next(coins) < p else 0
             if theta:
                 g = estimate_grad(spec, x_next, smoothing, sigma1, model, est_rng, ledger,
                                   phase="refresh").value
             else:
-                step_len = float(np.linalg.norm(x_next - x))
+                step_len = _step_len(x_next, x)
                 if step_len > 0.0:
-                    sigma2 = math.sqrt(params.kappa) * step_len
-                    diff = estimate_grad_diff(spec, x_next, x, smoothing, sigma2, model,
-                                              est_rng, ledger, phase="diff")
+                    diff = estimate_grad_diff(spec, x_next, x, smoothing, sqrt_kappa * step_len,
+                                              model, est_rng, ledger, phase="diff")
                     g = g + diff.value
         if trace:
-            phi, ref_norm = _phi_diagnostic(spec, x, g_step, params.eta, params.p, smoothing,
-                                            seed, t, trace_ref_n)
+            phi, ref_norm = _phi_diagnostic(spec, x, g_step, eta, p, smoothing, seed, t,
+                                            trace_ref_n)
             cur = _counts(ledger)
-            records.append(TraceRecord(t, float(np.linalg.norm(g_step)),
-                                       float(np.linalg.norm(x_next - x)), theta, phi, ref_norm,
+            records.append(TraceRecord(t, float(np.linalg.norm(g_step)), _step_len(x_next, x),
+                                       theta, phi, ref_norm,
                                        cur[0] - prev[0], cur[1] - prev[1], cur[2] - prev[2]))
             prev = cur
         x = x_next
@@ -417,36 +435,35 @@ def qgm_plus(
     x = _as_point(spec, x0)
     sigma1 = math.sqrt(params.sigma1_sq)
     est_rng = substream(seed, "est")
-    coin_rng = substream(seed, "coin")
     ledger = QueryLedger()
     records: list[TraceRecord] = []
     candidates: list[np.ndarray] = []
     exceeded = False
     prev = _counts(ledger)
+    coins = _coins(substream(seed, "coin"))
+    eta, T, p, sqrt_kappa = params.eta, params.T, params.p, math.sqrt(params.kappa)
     g = estimate_sgrad(spec, x, sigma1, model, est_rng, ledger, phase="init").value
-    for t in range(params.T):
-        candidates.append(x.copy())
+    for t in range(T):
+        candidates.append(x)  # x is never modified in place
         g_step = g
-        x_next = x - params.eta * g_step
+        x_next = x - eta * g_step
         theta = 1
-        if t + 1 < params.T:
-            theta = 1 if coin_rng.uniform() < params.p else 0
+        if t + 1 < T:
+            theta = 1 if next(coins) < p else 0
             if theta:
                 g = estimate_sgrad(spec, x_next, sigma1, model, est_rng, ledger,
                                    phase="refresh").value
             else:
-                step_len = float(np.linalg.norm(x_next - x))
+                step_len = _step_len(x_next, x)
                 if step_len > 0.0:
-                    sigma2 = math.sqrt(params.kappa) * step_len
-                    diff = estimate_sgrad_diff(spec, x_next, x, sigma2, model, est_rng, ledger,
-                                               phase="diff")
+                    diff = estimate_sgrad_diff(spec, x_next, x, sqrt_kappa * step_len, model,
+                                               est_rng, ledger, phase="diff")
                     g = g + diff.value
         if trace:
-            phi, ref_norm = _phi_diagnostic(spec, x, g_step, params.eta, params.p, None, seed, t,
-                                            trace_ref_n)
+            phi, ref_norm = _phi_diagnostic(spec, x, g_step, eta, p, None, seed, t, trace_ref_n)
             cur = _counts(ledger)
-            records.append(TraceRecord(t, float(np.linalg.norm(g_step)),
-                                       float(np.linalg.norm(x_next - x)), theta, phi, ref_norm,
+            records.append(TraceRecord(t, float(np.linalg.norm(g_step)), _step_len(x_next, x),
+                                       theta, phi, ref_norm,
                                        cur[0] - prev[0], cur[1] - prev[1], cur[2] - prev[2]))
             prev = cur
         x = x_next

@@ -260,18 +260,34 @@ def _sample_xi_batch(spec: ObjectiveSpec, n: int, rng: np.random.Generator):
         return rng.integers(0, spec.d, size=n)
     # additive-offset
     if spec.name == "quadratic-smooth":
-        return spec.noise_scale * _sphere_rows(spec.d, n, rng)
+        rows = _sphere_rows(spec.d, n, rng)
+        rows *= spec.noise_scale
+        return rows
     return rng.uniform(-spec.noise_scale, spec.noise_scale, size=n)
 
 
-def _sphere_rows(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
+def _unit_rows(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n uniform unit rows in R^d, normalized in place.
+
+    The norm is the one np.linalg.norm(v, axis=1) computes for real
+    input, sqrt of the row sums of v*v, so the rows are bit-identical to
+    v / np.linalg.norm(v, axis=1)[:, None].  All-zero rows (probability
+    zero) are redrawn.
+    """
     v = rng.standard_normal((n, d))
-    norms = np.linalg.norm(v, axis=1)
-    while np.any(norms == 0.0):  # pragma: no cover - probability zero
+    norms = np.sqrt(np.add.reduce(v * v, axis=1))
+    while np.count_nonzero(norms) < n:
         bad = norms == 0.0
         v[bad] = rng.standard_normal((int(bad.sum()), d))
-        norms = np.linalg.norm(v, axis=1)
-    return v / norms[:, None]
+        norms = np.sqrt(np.add.reduce(v * v, axis=1))
+    v /= norms[:, None]
+    return v
+
+
+def _sphere_rows(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    # the quadratic's noise directions; a function of its own, apart from
+    # smoothing._sphere_batch, so that profiles tell the two samplers apart
+    return _unit_rows(d, n, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +295,9 @@ def _sphere_rows(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def _dist_to_int(v: np.ndarray) -> np.ndarray:
-    return np.abs(v - np.round(v))
+    r = np.rint(v)
+    np.subtract(v, r, out=r)
+    return np.abs(r, out=r)
 
 
 def _f_rows(spec: ObjectiveSpec, X: np.ndarray) -> np.ndarray:
@@ -289,22 +307,29 @@ def _f_rows(spec: ObjectiveSpec, X: np.ndarray) -> np.ndarray:
     if spec.name == "abs-linear":
         return np.abs(X @ spec.direction)
     if spec.name == "sawtooth":
-        return _dist_to_int(X).sum(axis=1) / math.sqrt(spec.d)
+        vals = np.add.reduce(_dist_to_int(X), axis=1)
+        vals /= math.sqrt(spec.d)
+        return vals
     # quadratic-smooth
-    return 0.5 * (X * X) @ spec.lambdas
+    XX = X * X
+    XX *= 0.5
+    return XX @ spec.lambdas
 
 
 def _F_rows(spec: ObjectiveSpec, X: np.ndarray, payload) -> np.ndarray:
     """Stochastic F on rows of X with a batch payload (see _sample_xi_batch)."""
     if spec.noise_kind == "component-subsample":
-        picked = np.take_along_axis(X, payload[:, None], axis=1)[:, 0]
-        return math.sqrt(spec.d) * _dist_to_int(picked)
+        vals = _dist_to_int(X[np.arange(X.shape[0]), payload])
+        vals *= math.sqrt(spec.d)
+        return vals
     vals = _f_rows(spec, X)
     if payload is None:
         return vals
     if spec.name == "quadratic-smooth":
-        return vals + (X * payload).sum(axis=1)
-    return vals + payload
+        vals += np.add.reduce(X * payload, axis=1)
+    else:
+        vals += payload
+    return vals
 
 
 def _check_point(spec: ObjectiveSpec, x: np.ndarray) -> np.ndarray:

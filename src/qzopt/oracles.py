@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .objectives import ObjectiveSpec, _sample_xi_batch
-from .smoothing import SmoothingParams, _g_delta_rows, _sphere_batch
+from .smoothing import _CHUNK, SmoothingParams, _g_delta_rows, _sphere_batch
 
 __all__ = [
     "CostModel",
@@ -41,8 +41,6 @@ __all__ = [
     "o_g_delta",
     "quantum_mean_cost",
 ]
-
-_CHUNK = 1 << 18
 
 COST_MODES = ("quantum", "classical")
 LOG_POLICIES = ("ignored", "explicit")
@@ -247,7 +245,7 @@ def estimate_grad(
         m = min(left, _CHUNK)
         W = _sphere_batch(d, m, rng)
         payload = _sample_xi_batch(spec, m, rng)
-        total += _g_delta_rows(spec, x, params.delta, W, payload).sum(axis=0)
+        total += np.add.reduce(_g_delta_rows(spec, x, params.delta, W, payload), axis=0)
         left -= m
     value = total / n
     if model.mode == "quantum":
@@ -280,11 +278,12 @@ def estimate_grad_diff(
     y = np.asarray(y, dtype=float)
     if x.shape != (spec.d,) or y.shape != (spec.d,):
         raise ValueError(f"points must have shape ({spec.d},)")
-    if np.array_equal(x, y):
+    if not np.count_nonzero(x != y):  # x == y
         return GradEstimate(np.zeros(spec.d), 0.0, 0, "grad-diff")
     sigma_hat = _check_sigma(sigma_hat)
     d, L, delta = spec.d, spec.L, params.delta
-    dist = float(np.linalg.norm(x - y))
+    v = x - y
+    dist = math.sqrt(v.dot(v))
     n = max(
         1,
         math.ceil(
@@ -298,8 +297,8 @@ def estimate_grad_diff(
         W = _sphere_batch(d, m, rng)
         payload = _sample_xi_batch(spec, m, rng)
         gx = _g_delta_rows(spec, x, delta, W, payload)
-        gy = _g_delta_rows(spec, y, delta, W, payload)
-        total += (gx - gy).sum(axis=0)
+        gx -= _g_delta_rows(spec, y, delta, W, payload)
+        total += np.add.reduce(gx, axis=0)
         left -= m
     value = total / n
     if model.mode == "quantum":
@@ -333,7 +332,7 @@ def estimate_sgrad(
     value = spec.lambdas * x
     if sigma > 0:
         payload = _sample_xi_batch(spec, n, rng)
-        value = value + payload.mean(axis=0)
+        value = value + np.add.reduce(payload, axis=0) / n
     if model.mode == "quantum":
         raw = model.c_q * math.sqrt(spec.d) * sigma / sigma_hat
         charged = max(1, math.ceil(raw)) * model.log_multiplier(sigma_hat)
@@ -365,12 +364,13 @@ def estimate_sgrad_diff(
     y = np.asarray(y, dtype=float)
     if x.shape != (spec.d,) or y.shape != (spec.d,):
         raise ValueError(f"points must have shape ({spec.d},)")
-    if np.array_equal(x, y):
+    if not np.count_nonzero(x != y):  # x == y
         return GradEstimate(np.zeros(spec.d), 0.0, 0, "sgrad-diff")
     sigma_hat = _check_sigma(sigma_hat)
     l, _ = spec.smooth_params
-    dist = float(np.linalg.norm(x - y))
-    value = spec.lambdas * (x - y)
+    v = x - y
+    dist = math.sqrt(v.dot(v))
+    value = spec.lambdas * v
     if model.mode == "quantum":
         raw = model.c_q * math.sqrt(spec.d) * l * dist / sigma_hat
         charged = max(1, math.ceil(raw)) * model.log_multiplier(sigma_hat)

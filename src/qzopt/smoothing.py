@@ -29,7 +29,15 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate, special
 
-from .objectives import ObjectiveSpec, XiSample, _f_rows, _F_rows, _payload_rows, _sample_xi_batch
+from .objectives import (
+    ObjectiveSpec,
+    XiSample,
+    _f_rows,
+    _F_rows,
+    _payload_rows,
+    _sample_xi_batch,
+    _unit_rows,
+)
 
 __all__ = [
     "SmoothingParams",
@@ -71,13 +79,7 @@ def sample_ball(d: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def _sphere_batch(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    v = rng.standard_normal((n, d))
-    norms = np.linalg.norm(v, axis=1)
-    while np.any(norms == 0.0):  # pragma: no cover - probability zero
-        bad = norms == 0.0
-        v[bad] = rng.standard_normal((int(bad.sum()), d))
-        norms = np.linalg.norm(v, axis=1)
-    return v / norms[:, None]
+    return _unit_rows(d, n, rng)
 
 
 def g_delta(
@@ -100,10 +102,11 @@ def _g_delta_rows(
     spec: ObjectiveSpec, x: np.ndarray, delta: float, W: np.ndarray, payload
 ) -> np.ndarray:
     """Two-point estimates for each direction row in W (n, d) -> (n, d)."""
-    Xp = x[None, :] + delta * W
-    Xm = x[None, :] - delta * W
-    diff = _F_rows(spec, Xp, payload) - _F_rows(spec, Xm, payload)
-    return (spec.d / (2.0 * delta)) * diff[:, None] * W
+    dW = delta * W
+    diff = _F_rows(spec, x + dW, payload)
+    diff -= _F_rows(spec, x - dW, payload)
+    diff *= spec.d / (2.0 * delta)
+    return diff[:, None] * W
 
 
 def _g_delta_mean(
@@ -123,9 +126,10 @@ def _g_delta_mean(
         W = _sphere_batch(spec.d, m, rng)
         payload = _sample_xi_batch(spec, m, rng)
         G = _g_delta_rows(spec, x, delta, W, payload)
-        total += G.sum(axis=0)
+        total += np.add.reduce(G, axis=0)
         if want_se:
-            total_sq += (G * G).sum(axis=0)
+            G *= G
+            total_sq += np.add.reduce(G, axis=0)
         left -= m
     mean = total / n
     if not want_se:

@@ -62,6 +62,8 @@ def goldstein_residual(
     x = np.asarray(x, dtype=float)
     if x.shape != (spec.d,):
         raise ValueError(f"point must have shape ({spec.d},)")
+    if not np.isfinite(x).all():
+        raise ValueError("point must be finite")
     if n < 2:
         raise ValueError("residual estimation needs n >= 2")
     if not 0.0 < confidence < 1.0:
@@ -93,7 +95,8 @@ def verify_stationary(
 
     Returns "accepted" when estimate + half_width <= eps, "rejected" when
     estimate - half_width > eps, and otherwise doubles the sample size up
-    to a hard cap before giving up with "inconclusive".
+    to a hard cap before giving up with "inconclusive".  A non-finite
+    point raises ValueError before any draw.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")

@@ -201,6 +201,21 @@ def test_x0_shape_and_missing_smooth_oracle():
         qgm_plus(catalog_make("sawtooth", 2), np.zeros(2), gp, CostModel(), 0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_x0_raises(bad):
+    x0 = np.array([0.5, bad])
+    qp = derive_params_qgfm(2, SPEC.L, 0.3, 0.4, SPEC.delta_0)
+    with pytest.raises(ValueError, match="finite"):
+        qgfm(SPEC, x0, qp, SM, CostModel(), 0)
+    pp = derive_params_qgfm_plus(2, SPEC.L, 0.3, 0.4, SPEC.delta_0)
+    with pytest.raises(ValueError, match="finite"):
+        qgfm_plus(SPEC, x0, pp, SM, CostModel(), 0)
+    qspec = catalog_make("quadratic-smooth", 2, noise_scale=1.0)
+    gp = derive_params_qgm_plus(qspec.smooth_params[0], 1.0, 0.4, qspec.delta_0, 2)
+    with pytest.raises(ValueError, match="finite"):
+        qgm_plus(qspec, x0, gp, CostModel(), 0)
+
+
 def test_trace_charges_sum_to_ledger():
     # per-iteration deltas in the trace (init absorbed into t=0) must
     # reconstruct the ledger totals exactly

@@ -135,6 +135,15 @@ def test_verify_bad_point(capsys):
                  "--delta", "0.1", "--eps", "0.2"]) == 2
 
 
+@pytest.mark.parametrize("point", ["nan,0.1", "0.1,inf"])
+def test_verify_non_finite_point_exits_2(point, capsys):
+    assert main(["verify", "--problem", "abs-linear", "--d", "2", "--point", point,
+                 "--delta", "0.1", "--eps", "0.2"]) == 2
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and "finite" in captured.err
+    assert "verdict" not in captured.out
+
+
 def test_module_entry_point(config_path):
     proc = subprocess.run([sys.executable, "-m", "qzopt", "run",
                            "--config", str(config_path)],

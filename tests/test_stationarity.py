@@ -29,6 +29,16 @@ def test_report_validation():
     assert rep.n == 500 and rep.confidence == 0.9 and rep.delta == SM.delta
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_point_raises(bad):
+    spec = catalog_make("abs-linear", 2)
+    point = np.array([bad, 0.1])
+    with pytest.raises(ValueError, match="finite"):
+        goldstein_residual(spec, point, SM, 100, 0.95, substream(0, "nf"))
+    with pytest.raises(ValueError, match="finite"):
+        verify_stationary(spec, point, SM, 0.1, 0.95, substream(0, "nf"))
+
+
 def test_residual_far_from_kink():
     # gradient norm is exactly 1 out there; the estimate must cover it
     spec = catalog_make("abs-linear", 2, direction=np.array([1.0, 0.0]))
