@@ -22,6 +22,11 @@ residual, and the query ledger):
     oracle (mean-square smoothness l, noise second moment sigma^2);
     residuals are measured on grad f itself.
 
+``qgfm_plus`` and ``qgm_plus`` are thin wrappers that hand one private
+driver, ``_recursion``, their fresh and difference estimators.  ``qgfm``
+keeps its own loop: it has no initialization estimate, so a p = 1 run of
+the driver differs from it in phase tags, trace charges and abort step.
+
 All randomness is drawn from counter-based substreams of the run seed, so
 runs are reproducible and cost-mode changes cannot perturb trajectories
 (estimates are realized identically; only ledgers differ).  Runs that
@@ -197,11 +202,9 @@ def derive_params_qgm_plus(l: float, sigma: float, eps: float, Delta: float, d: 
 # shared run plumbing
 
 
-def _counts(ledger: QueryLedger) -> tuple[int, int, int]:
-    return (ledger.uf_queries, ledger.classical_queries, ledger.grad_oracle_queries)
-
-
 def _primary_count(ledger: QueryLedger, model: CostModel, smooth: bool) -> int:
+    """The costed counter of a ledger (or a harness row): gradient-oracle
+    calls on the smooth track, else the cost mode's function-value counter."""
     if smooth:
         return ledger.grad_oracle_queries
     return ledger.uf_queries if model.mode == "quantum" else ledger.classical_queries
@@ -237,6 +240,22 @@ def _phi_diagnostic(
     err = g - ref
     phi = float(fval - spec.f_star + eta / (2.0 * p) * (err @ err))
     return phi, float(np.linalg.norm(ref))
+
+
+def _trace_row(
+    records: list[TraceRecord], ledger: QueryLedger, prev: tuple[int, int, int], t: int,
+    g: np.ndarray, step_norm: float, theta: int, diagnostic: tuple[float, float],
+) -> tuple[int, int, int]:
+    """Append step t's TraceRecord and return the ledger counts it ends at.
+
+    The row's charges are the ledger's growth since prev, the counts at
+    the end of the previous row ((0, 0, 0) for the first).
+    """
+    cur = (ledger.uf_queries, ledger.classical_queries, ledger.grad_oracle_queries)
+    phi, ref_norm = diagnostic
+    records.append(TraceRecord(t, float(np.linalg.norm(g)), step_norm, theta, phi, ref_norm,
+                               cur[0] - prev[0], cur[1] - prev[1], cur[2] - prev[2]))
+    return cur
 
 
 def _finish(
@@ -305,6 +324,55 @@ def _as_point(spec: ObjectiveSpec, x0: np.ndarray) -> np.ndarray:
     return x
 
 
+def _recursion(
+    algorithm: str, spec: ObjectiveSpec, x0: np.ndarray, params: QgfmPlusParams,
+    smoothing: SmoothingParams | None, model: CostModel, seed: int, fresh, diff,
+    trace: bool, budget: int, residual_n: int, residual_confidence: float, trace_ref_n: int,
+) -> RunResult:
+    """The biased-coin recursion behind ``qgfm_plus`` and ``qgm_plus``.
+
+    fresh and diff are called like ``estimate_sgrad`` and
+    ``estimate_sgrad_diff``.  smoothing is None on the smooth track, which
+    selects the gradient-oracle budget counter and the exact residual.
+    """
+    x = _as_point(spec, x0)
+    sigma1 = math.sqrt(params.sigma1_sq)
+    est_rng = substream(seed, "est")
+    ledger = QueryLedger()
+    records: list[TraceRecord] = []
+    candidates: list[np.ndarray] = []
+    exceeded = False
+    prev = (0, 0, 0)
+    smooth = smoothing is None
+    coins = _coins(substream(seed, "coin"))
+    eta, T, p, sqrt_kappa = params.eta, params.T, params.p, math.sqrt(params.kappa)
+    g = fresh(spec, x, sigma1, model, est_rng, ledger, phase="init").value
+    for t in range(T):
+        candidates.append(x)  # x is never modified in place
+        g_step = g
+        x_next = x - eta * g_step
+        theta = 1
+        if t + 1 < T:
+            theta = 1 if next(coins) < p else 0
+            if theta:
+                g = fresh(spec, x_next, sigma1, model, est_rng, ledger, phase="refresh").value
+            else:
+                step_len = _step_len(x_next, x)
+                if step_len > 0.0:
+                    g = g + diff(spec, x_next, x, sqrt_kappa * step_len, model, est_rng, ledger,
+                                 phase="diff").value
+        if trace:
+            diagnostic = _phi_diagnostic(spec, x, g_step, eta, p, smoothing, seed, t, trace_ref_n)
+            prev = _trace_row(records, ledger, prev, t, g_step, _step_len(x_next, x), theta,
+                              diagnostic)
+        x = x_next
+        if _primary_count(ledger, model, smooth) > budget:
+            exceeded = True
+            break
+    return _finish(algorithm, spec, candidates, smoothing, seed, ledger, T, p,
+                   exceeded, records, residual_n, residual_confidence)
+
+
 # ---------------------------------------------------------------------------
 # optimizers
 
@@ -331,20 +399,17 @@ def qgfm(
     records: list[TraceRecord] = []
     candidates: list[np.ndarray] = []
     exceeded = False
-    prev = _counts(ledger)
+    prev = (0, 0, 0)
     for t in range(params.T):
         candidates.append(x)  # x is never modified in place
         est = estimate_grad(spec, x, smoothing, sigma1, model, est_rng, ledger, phase="refresh")
         g = est.value
         step = params.eta * g
         if trace:
-            phi, ref_norm = _phi_diagnostic(spec, x, g, params.eta, 1.0, smoothing, seed, t,
-                                            trace_ref_n)
-            cur = _counts(ledger)
-            records.append(TraceRecord(t, float(np.linalg.norm(g)), float(np.linalg.norm(step)),
-                                       1, phi, ref_norm,
-                                       cur[0] - prev[0], cur[1] - prev[1], cur[2] - prev[2]))
-            prev = cur
+            diagnostic = _phi_diagnostic(spec, x, g, params.eta, 1.0, smoothing, seed, t,
+                                         trace_ref_n)
+            prev = _trace_row(records, ledger, prev, t, g, float(np.linalg.norm(step)), 1,
+                              diagnostic)
         x = x - step
         if _primary_count(ledger, model, smooth=False) > budget:
             exceeded = True
@@ -375,47 +440,16 @@ def qgfm_plus(
     feed an unused g_T is skipped, keeping the p = 1 ledger equal to
     the plain method's.
     """
-    x = _as_point(spec, x0)
-    sigma1 = math.sqrt(params.sigma1_sq)
-    est_rng = substream(seed, "est")
-    ledger = QueryLedger()
-    records: list[TraceRecord] = []
-    candidates: list[np.ndarray] = []
-    exceeded = False
-    prev = _counts(ledger)
-    coins = _coins(substream(seed, "coin"))
-    eta, T, p, sqrt_kappa = params.eta, params.T, params.p, math.sqrt(params.kappa)
-    g = estimate_grad(spec, x, smoothing, sigma1, model, est_rng, ledger, phase="init").value
-    for t in range(T):
-        candidates.append(x)  # x is never modified in place
-        g_step = g
-        x_next = x - eta * g_step
-        theta = 1
-        if t + 1 < T:
-            theta = 1 if next(coins) < p else 0
-            if theta:
-                g = estimate_grad(spec, x_next, smoothing, sigma1, model, est_rng, ledger,
-                                  phase="refresh").value
-            else:
-                step_len = _step_len(x_next, x)
-                if step_len > 0.0:
-                    diff = estimate_grad_diff(spec, x_next, x, smoothing, sqrt_kappa * step_len,
-                                              model, est_rng, ledger, phase="diff")
-                    g = g + diff.value
-        if trace:
-            phi, ref_norm = _phi_diagnostic(spec, x, g_step, eta, p, smoothing, seed, t,
-                                            trace_ref_n)
-            cur = _counts(ledger)
-            records.append(TraceRecord(t, float(np.linalg.norm(g_step)), _step_len(x_next, x),
-                                       theta, phi, ref_norm,
-                                       cur[0] - prev[0], cur[1] - prev[1], cur[2] - prev[2]))
-            prev = cur
-        x = x_next
-        if _primary_count(ledger, model, smooth=False) > budget:
-            exceeded = True
-            break
-    return _finish("qgfm_plus", spec, candidates, smoothing, seed, ledger, params.T, params.p,
-                   exceeded, records, residual_n, residual_confidence)
+
+    def fresh(spec, x, sigma_hat, model, rng, ledger, phase):
+        return estimate_grad(spec, x, smoothing, sigma_hat, model, rng, ledger, phase=phase)
+
+    def diff(spec, x, y, sigma_hat, model, rng, ledger, phase):
+        return estimate_grad_diff(spec, x, y, smoothing, sigma_hat, model, rng, ledger,
+                                  phase=phase)
+
+    return _recursion("qgfm_plus", spec, x0, params, smoothing, model, seed, fresh, diff,
+                      trace, budget, residual_n, residual_confidence, trace_ref_n)
 
 
 def qgm_plus(
@@ -432,43 +466,5 @@ def qgm_plus(
     """Variance-reduced descent on a smooth objective with gradient oracle."""
     if spec.smooth_params is None:
         raise ValueError(f"{spec.name!r} exposes no smooth gradient oracle")
-    x = _as_point(spec, x0)
-    sigma1 = math.sqrt(params.sigma1_sq)
-    est_rng = substream(seed, "est")
-    ledger = QueryLedger()
-    records: list[TraceRecord] = []
-    candidates: list[np.ndarray] = []
-    exceeded = False
-    prev = _counts(ledger)
-    coins = _coins(substream(seed, "coin"))
-    eta, T, p, sqrt_kappa = params.eta, params.T, params.p, math.sqrt(params.kappa)
-    g = estimate_sgrad(spec, x, sigma1, model, est_rng, ledger, phase="init").value
-    for t in range(T):
-        candidates.append(x)  # x is never modified in place
-        g_step = g
-        x_next = x - eta * g_step
-        theta = 1
-        if t + 1 < T:
-            theta = 1 if next(coins) < p else 0
-            if theta:
-                g = estimate_sgrad(spec, x_next, sigma1, model, est_rng, ledger,
-                                   phase="refresh").value
-            else:
-                step_len = _step_len(x_next, x)
-                if step_len > 0.0:
-                    diff = estimate_sgrad_diff(spec, x_next, x, sqrt_kappa * step_len, model,
-                                               est_rng, ledger, phase="diff")
-                    g = g + diff.value
-        if trace:
-            phi, ref_norm = _phi_diagnostic(spec, x, g_step, eta, p, None, seed, t, trace_ref_n)
-            cur = _counts(ledger)
-            records.append(TraceRecord(t, float(np.linalg.norm(g_step)), _step_len(x_next, x),
-                                       theta, phi, ref_norm,
-                                       cur[0] - prev[0], cur[1] - prev[1], cur[2] - prev[2]))
-            prev = cur
-        x = x_next
-        if ledger.grad_oracle_queries > budget:
-            exceeded = True
-            break
-    return _finish("qgm_plus", spec, candidates, None, seed, ledger, params.T, params.p,
-                   exceeded, records, 0, 1.0)
+    return _recursion("qgm_plus", spec, x0, params, None, model, seed, estimate_sgrad,
+                      estimate_sgrad_diff, trace, budget, 0, 1.0, trace_ref_n)

@@ -17,13 +17,14 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .algorithms import (
     DEFAULT_BUDGET,
     RunResult,
+    _primary_count,
     derive_params_qgfm,
     derive_params_qgfm_plus,
     derive_params_qgm_plus,
@@ -157,15 +158,39 @@ def parse_config(text: str) -> dict[str, str]:
     return mapping
 
 
-_KNOWN_KEYS = {
-    "algorithm", "problem", "d", "noise_scale", "noise_kind", "delta", "eps",
-    "eps_grid", "seeds", "cost_mode", "c_q", "log_factor_policy", "log_k",
-    "trace", "out", "budget", "residual_n", "residual_confidence", "timings",
+def _parse_list(parse):
+    """Parser for comma-separated values; empty tokens are skipped."""
+    return lambda key, raw: tuple(parse(key, tok) for tok in raw.split(",") if tok.strip())
+
+
+# config key -> (ExperimentConfig or CostModel field, parser; None keeps the
+# text).  Absent keys take the dataclass defaults.  Keys are parsed in this
+# order, so the first malformed value in it is the one reported.
+_KEYS = {
+    "eps": ("eps_grid", lambda key, raw: (_parse_float(key, raw),)),
+    "eps_grid": ("eps_grid", _parse_list(_parse_float)),
+    "seeds": ("seeds", _parse_list(_parse_int)),
+    "cost_mode": ("mode", None),
+    "c_q": ("c_q", _parse_float),
+    "log_factor_policy": ("log_factor_policy", None),
+    "log_k": ("log_k", _parse_int),
+    "algorithm": ("algorithm", None),
+    "problem": ("problem", None),
+    "d": ("d", _parse_int),
+    "delta": ("delta", _parse_float),
+    "noise_scale": ("noise_scale", _parse_float),
+    "noise_kind": ("noise_kind", None),
+    "trace": ("trace", _parse_bool),
+    "out": ("out_path", None),
+    "budget": ("budget", _parse_int),
+    "residual_n": ("residual_n", _parse_int),
+    "residual_confidence": ("residual_confidence", _parse_float),
+    "timings": ("timings", _parse_bool),
 }
 
 
 def config_from_mapping(mapping: dict[str, str]) -> ExperimentConfig:
-    unknown = set(mapping) - _KNOWN_KEYS
+    unknown = set(mapping) - set(_KEYS)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     for key in ("algorithm", "problem", "d", "seeds"):
@@ -174,41 +199,16 @@ def config_from_mapping(mapping: dict[str, str]) -> ExperimentConfig:
     if ("eps" in mapping) == ("eps_grid" in mapping):
         raise ConfigError("exactly one of eps / eps_grid is required")
 
-    if "eps" in mapping:
-        eps_grid = (_parse_float("eps", mapping["eps"]),)
-    else:
-        eps_grid = tuple(_parse_float("eps_grid", tok)
-                         for tok in mapping["eps_grid"].split(",") if tok.strip())
-    seeds = tuple(_parse_int("seeds", tok)
-                  for tok in mapping["seeds"].split(",") if tok.strip())
-
+    values = {}
+    for key, (name, parse) in _KEYS.items():
+        if key in mapping:
+            values[name] = mapping[key] if parse is None else parse(key, mapping[key])
+    cost_args = {f.name: values.pop(f.name) for f in fields(CostModel) if f.name in values}
     try:
-        cost = CostModel(
-            mode=mapping.get("cost_mode", "quantum"),
-            c_q=_parse_float("c_q", mapping["c_q"]) if "c_q" in mapping else 1.0,
-            log_factor_policy=mapping.get("log_factor_policy", "ignored"),
-            log_k=_parse_int("log_k", mapping["log_k"]) if "log_k" in mapping else 0,
-        )
+        cost = CostModel(**cost_args)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    return ExperimentConfig(
-        algorithm=mapping["algorithm"],
-        problem=mapping["problem"],
-        d=_parse_int("d", mapping["d"]),
-        eps_grid=eps_grid,
-        seeds=seeds,
-        delta=_parse_float("delta", mapping["delta"]) if "delta" in mapping else 0.0,
-        noise_scale=_parse_float("noise_scale", mapping["noise_scale"]) if "noise_scale" in mapping else 0.0,
-        noise_kind=mapping.get("noise_kind"),
-        cost=cost,
-        trace=_parse_bool("trace", mapping["trace"]) if "trace" in mapping else False,
-        out_path=mapping.get("out", ""),
-        budget=_parse_int("budget", mapping["budget"]) if "budget" in mapping else DEFAULT_BUDGET,
-        residual_n=_parse_int("residual_n", mapping["residual_n"]) if "residual_n" in mapping else 20000,
-        residual_confidence=_parse_float("residual_confidence", mapping["residual_confidence"])
-        if "residual_confidence" in mapping else 0.95,
-        timings=_parse_bool("timings", mapping["timings"]) if "timings" in mapping else False,
-    )
+    return ExperimentConfig(cost=cost, **values)
 
 
 # ---------------------------------------------------------------------------
@@ -359,9 +359,7 @@ def fit_loglog(points) -> SlopeFit:
 def primary_queries(row: RunRow, config: ExperimentConfig) -> int:
     """The costed counter: gradient-oracle calls on the smooth track,
     otherwise the active cost mode's function-value counter."""
-    if config.algorithm == "qgm_plus":
-        return row.grad_oracle_queries
-    return row.uf_queries if config.cost.mode == "quantum" else row.classical_queries
+    return _primary_count(row, config.cost, config.algorithm == "qgm_plus")
 
 
 def scaling_sweep(config: ExperimentConfig, rows: list[RunRow] | None = None) -> SlopeFit:

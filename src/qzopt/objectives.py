@@ -340,8 +340,10 @@ def _check_point(spec: ObjectiveSpec, x: np.ndarray) -> np.ndarray:
 
 
 def eval_f(spec: ObjectiveSpec, x: np.ndarray) -> float:
-    """Exact expectation f(x)."""
+    """Exact expectation f(x); a non-finite point raises ValueError."""
     x = _check_point(spec, x)
+    if not np.isfinite(x).all():
+        raise ValueError("point must be finite")
     return float(_f_rows(spec, x[None, :])[0])
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .objectives import ObjectiveSpec, _sample_xi_batch
-from .smoothing import _CHUNK, SmoothingParams, _g_delta_rows, _sphere_batch
+from .smoothing import SmoothingParams, _g_delta_mean, _g_delta_rows, _sphere_batch
 
 __all__ = [
     "CostModel",
@@ -142,10 +142,7 @@ def o_g_delta(
     W = _sphere_batch(spec.d, 1, rng)
     payload = _sample_xi_batch(spec, 1, rng)
     g = _g_delta_rows(spec, np.asarray(x, dtype=float), params.delta, W, payload)[0]
-    if model.mode == "quantum":
-        ledger.charge(uf=2, phase=phase)
-    else:
-        ledger.charge(classical=2, phase=phase)
+    _charge(ledger, model, phase, 2, 2)
     return g
 
 
@@ -167,15 +164,38 @@ def o_delta_g(
     y = np.asarray(y, dtype=float)
     gx = _g_delta_rows(spec, x, params.delta, W, payload)[0]
     gy = _g_delta_rows(spec, y, params.delta, W, payload)[0]
-    if model.mode == "quantum":
-        ledger.charge(uf=4, phase=phase)
-    else:
-        ledger.charge(classical=4, phase=phase)
+    _charge(ledger, model, phase, 4, 4)
     return gx - gy
 
 
 # ---------------------------------------------------------------------------
 # cost arithmetic
+
+
+def _charge(
+    ledger: QueryLedger,
+    model: CostModel,
+    phase: str | None,
+    quantum: int,
+    classical: int,
+    grad: bool = False,
+) -> int:
+    """Charge the active cost mode's count and return it.
+
+    quantum and classical are the two modes' charges, both computed by the
+    caller.  Function-value estimators charge uf_queries or
+    classical_queries by mode; gradient-oracle estimators (grad=True)
+    charge grad_oracle_queries in both modes.
+    """
+    quantum_mode = model.mode == "quantum"
+    charged = quantum if quantum_mode else classical
+    if grad:
+        ledger.charge(grad=charged, phase=phase)
+    elif quantum_mode:
+        ledger.charge(uf=charged, phase=phase)
+    else:
+        ledger.charge(classical=charged, phase=phase)
+    return charged
 
 
 def quantum_mean_cost(
@@ -239,21 +259,9 @@ def estimate_grad(
         raise ValueError(f"point must have shape ({spec.d},)")
     d, L = spec.d, spec.L
     n = max(1, math.ceil(spec.est_var_coeff * d * L * L / (sigma_hat * sigma_hat)))
-    total = np.zeros(d)
-    left = n
-    while left > 0:
-        m = min(left, _CHUNK)
-        W = _sphere_batch(d, m, rng)
-        payload = _sample_xi_batch(spec, m, rng)
-        total += np.add.reduce(_g_delta_rows(spec, x, params.delta, W, payload), axis=0)
-        left -= m
-    value = total / n
-    if model.mode == "quantum":
-        charged = 2 * quantum_mean_cost(math.sqrt(d) * L, d, sigma_hat, model)
-        ledger.charge(uf=charged, phase=phase)
-    else:
-        charged = 2 * n
-        ledger.charge(classical=charged, phase=phase)
+    value = _g_delta_mean(spec, x, params.delta, n, rng)
+    charged = _charge(ledger, model, phase,
+                      2 * quantum_mean_cost(math.sqrt(d) * L, d, sigma_hat, model), 2 * n)
     return GradEstimate(value, sigma_hat * sigma_hat, charged, "grad")
 
 
@@ -290,24 +298,10 @@ def estimate_grad_diff(
             spec.diff_var_coeff * d * d * L * L * dist * dist / (delta * delta * sigma_hat * sigma_hat)
         ),
     )
-    total = np.zeros(d)
-    left = n
-    while left > 0:
-        m = min(left, _CHUNK)
-        W = _sphere_batch(d, m, rng)
-        payload = _sample_xi_batch(spec, m, rng)
-        gx = _g_delta_rows(spec, x, delta, W, payload)
-        gx -= _g_delta_rows(spec, y, delta, W, payload)
-        total += np.add.reduce(gx, axis=0)
-        left -= m
-    value = total / n
-    if model.mode == "quantum":
-        raw = model.c_q * d ** 1.5 * L * dist / (sigma_hat * delta)
-        charged = 4 * max(1, math.ceil(raw)) * model.log_multiplier(sigma_hat)
-        ledger.charge(uf=charged, phase=phase)
-    else:
-        charged = 4 * n
-        ledger.charge(classical=charged, phase=phase)
+    value = _g_delta_mean(spec, x, delta, n, rng, y=y)
+    raw = model.c_q * d ** 1.5 * L * dist / (sigma_hat * delta)
+    charged = _charge(ledger, model, phase,
+                      4 * max(1, math.ceil(raw)) * model.log_multiplier(sigma_hat), 4 * n)
     return GradEstimate(value, sigma_hat * sigma_hat, charged, "grad-diff")
 
 
@@ -333,12 +327,9 @@ def estimate_sgrad(
     if sigma > 0:
         payload = _sample_xi_batch(spec, n, rng)
         value = value + np.add.reduce(payload, axis=0) / n
-    if model.mode == "quantum":
-        raw = model.c_q * math.sqrt(spec.d) * sigma / sigma_hat
-        charged = max(1, math.ceil(raw)) * model.log_multiplier(sigma_hat)
-    else:
-        charged = n
-    ledger.charge(grad=charged, phase=phase)
+    raw = model.c_q * math.sqrt(spec.d) * sigma / sigma_hat
+    charged = _charge(ledger, model, phase,
+                      max(1, math.ceil(raw)) * model.log_multiplier(sigma_hat), n, grad=True)
     return GradEstimate(value, sigma_hat * sigma_hat, charged, "sgrad")
 
 
@@ -371,10 +362,8 @@ def estimate_sgrad_diff(
     v = x - y
     dist = math.sqrt(v.dot(v))
     value = spec.lambdas * v
-    if model.mode == "quantum":
-        raw = model.c_q * math.sqrt(spec.d) * l * dist / sigma_hat
-        charged = max(1, math.ceil(raw)) * model.log_multiplier(sigma_hat)
-    else:
-        charged = max(1, math.ceil(l * l * dist * dist / (sigma_hat * sigma_hat)))
-    ledger.charge(grad=charged, phase=phase)
+    raw = model.c_q * math.sqrt(spec.d) * l * dist / sigma_hat
+    charged = _charge(ledger, model, phase,
+                      max(1, math.ceil(raw)) * model.log_multiplier(sigma_hat),
+                      max(1, math.ceil(l * l * dist * dist / (sigma_hat * sigma_hat))), grad=True)
     return GradEstimate(value, sigma_hat * sigma_hat, charged, "sgrad-diff")

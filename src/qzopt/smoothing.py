@@ -116,8 +116,10 @@ def _g_delta_mean(
     n: int,
     rng: np.random.Generator,
     want_se: bool = False,
+    y: np.ndarray | None = None,
 ):
-    """Mean of n fresh two-point estimates, chunked; optional per-coord SE."""
+    """Mean of n fresh two-point estimates, chunked; optional per-coord SE.
+    With y, of the shared-draw differences g_delta(x; w, xi) - g_delta(y; w, xi)."""
     total = np.zeros(spec.d)
     total_sq = np.zeros(spec.d) if want_se else None
     left = n
@@ -126,6 +128,8 @@ def _g_delta_mean(
         W = _sphere_batch(spec.d, m, rng)
         payload = _sample_xi_batch(spec, m, rng)
         G = _g_delta_rows(spec, x, delta, W, payload)
+        if y is not None:
+            G -= _g_delta_rows(spec, y, delta, W, payload)
         total += np.add.reduce(G, axis=0)
         if want_se:
             G *= G

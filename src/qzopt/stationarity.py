@@ -117,10 +117,13 @@ def exact_goldstein_distance(spec: ObjectiveSpec, x: np.ndarray, delta: float) -
 
     Supported: constant (0 everywhere), abs-linear, one-dimensional
     sawtooth, and quadratic-smooth.  Returns None for other geometries.
+    A non-finite point raises ValueError.
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (spec.d,):
         raise ValueError(f"point must have shape ({spec.d},)")
+    if not np.isfinite(x).all():
+        raise ValueError("point must be finite")
     if delta <= 0:
         raise ValueError("delta must be positive")
     if spec.name == "constant":

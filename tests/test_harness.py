@@ -57,6 +57,23 @@ def test_config_from_mapping_roundtrip():
     assert cfg.cost.mode == "quantum" and cfg.cost.c_q == 1.0
 
 
+def test_config_every_key_and_defaults():
+    base = parse_config(CONFIG_TEXT)
+    assert config_from_mapping(base) == ExperimentConfig(
+        algorithm="qgfm", problem="abs-linear", d=2, eps_grid=(0.4,), seeds=(0, 1), delta=0.3)
+    full = {k: v for k, v in base.items() if k != "eps"}
+    full.update(eps_grid="0.4, 0.2,", noise_scale="0.1", noise_kind="additive-offset",
+                cost_mode="classical", c_q="1.5", log_factor_policy="explicit", log_k="1",
+                trace="yes", out="rows.csv", budget="777", residual_n="300",
+                residual_confidence="0.9", timings="1")
+    assert config_from_mapping(full) == ExperimentConfig(
+        algorithm="qgfm", problem="abs-linear", d=2, eps_grid=(0.4, 0.2), seeds=(0, 1),
+        delta=0.3, noise_scale=0.1, noise_kind="additive-offset",
+        cost=CostModel(mode="classical", c_q=1.5, log_factor_policy="explicit", log_k=1),
+        trace=True, out_path="rows.csv", budget=777, residual_n=300, residual_confidence=0.9,
+        timings=True)
+
+
 def test_config_mapping_errors():
     base = parse_config(CONFIG_TEXT)
     with pytest.raises(ConfigError, match="unknown config keys"):

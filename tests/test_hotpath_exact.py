@@ -21,6 +21,7 @@ from qzopt import (
     QueryLedger,
     SmoothingParams,
     catalog_make,
+    derive_params_qgfm,
     derive_params_qgfm_plus,
     derive_params_qgm_plus,
     estimate_grad,
@@ -30,6 +31,7 @@ from qzopt import (
     grad_f_delta_ref,
     o_delta_g,
     o_g_delta,
+    qgfm,
     qgfm_plus,
     qgm_plus,
     substream,
@@ -160,6 +162,84 @@ def _run_outputs() -> dict[str, str]:
     res = qgfm_plus(saw, np.array([0.2, 0.7]), p, sm, CostModel(mode="classical"), 6,
                     trace=True, residual_n=500, trace_ref_n=40)
     out["run/qgfm_plus_traced"] = f"{_run_summary(res)}|{_trace_digest(res)}"
+    p = derive_params_qgfm(2, saw.L, 0.3, 0.4, saw.delta_0)
+    res = qgfm(saw, np.array([0.2, 0.7]), p, sm, CostModel(), 6, trace=True, residual_n=500,
+               trace_ref_n=40)
+    out["run/qgfm_traced"] = f"{_run_summary(res)}|{_trace_digest(res)}"
+    absl = catalog_make("abs-linear", 3, 0.2)
+    p = derive_params_qgfm(3, absl.L, 0.3, 0.3, absl.delta_0)
+    res = qgfm(absl, np.array([0.9, -0.4, 0.3]), p, sm, CostModel(mode="classical"), 7,
+               residual_n=2000)
+    out["run/qgfm_classical"] = _run_summary(res)
+    return out
+
+
+def _budget_outputs() -> dict[str, str]:
+    """Runs cut short by the query budget: the abort step fixes the candidates."""
+    out = {}
+    noisy = catalog_make("sawtooth", 4, noise_scale=0.1)
+    p = derive_params_qgfm(4, noisy.L, 0.1, 0.1, noisy.delta_0)
+    # (1/2, ..., 1/2) is reflection-fixed on the sawtooth; start off it so the iterates move
+    start = np.array([0.3, 0.1, -0.2, 0.4])
+    for seed in range(6):
+        res = qgfm(noisy, start, p, SmoothingParams(0.1), CostModel(mode="classical"), seed,
+                   budget=5000, residual_n=2000)
+        out[f"budget/qgfm/{seed}"] = f"{_run_summary(res)}|{res.budget_exceeded}"
+    saw = catalog_make("sawtooth", 2)
+    p = derive_params_qgfm_plus(2, saw.L, 0.3, 0.07, saw.delta_0)
+    for seed in range(3):
+        res = qgfm_plus(saw, np.array([0.1, 0.8]), p, SmoothingParams(0.3), CostModel(), seed,
+                        budget=100_000, residual_n=2000)
+        out[f"budget/qgfm_plus/{seed}"] = f"{_run_summary(res)}|{res.budget_exceeded}"
+    quad = catalog_make("quadratic-smooth", 8, 0.1)
+    l, sigma = quad.smooth_params
+    p = derive_params_qgm_plus(l, sigma, 0.03, quad.delta_0, 8)
+    for seed in range(3):
+        res = qgm_plus(quad, np.full(8, 0.35), p, CostModel(), seed, budget=40_000)
+        out[f"budget/qgm_plus/{seed}"] = f"{_run_summary(res)}|{res.budget_exceeded}"
+    return out
+
+
+# c_q != 1 and an explicit log factor exercise every term of the charge rules
+CHARGE_MODELS = {
+    "quantum": CostModel(c_q=1.7, log_factor_policy="explicit", log_k=2),
+    "classical": CostModel(mode="classical", c_q=1.7, log_factor_policy="explicit", log_k=2),
+}
+CHARGE_SIGMAS = (0.0123, 0.07, 0.3, 2.5)
+FAR = X + np.array([0.41, 0.27, -0.33])
+
+
+def _charge_outputs() -> dict[str, str]:
+    """Charges of all six estimator sites under a non-default cost model."""
+    out = {}
+    sm = SmoothingParams(DELTA)
+    specs = (("abs-linear", 0.3, None), ("sawtooth", 0.0, "component-subsample"),
+             ("quadratic-smooth", 0.5, None))
+    for i, (problem, scale, kind) in enumerate(specs):
+        spec = catalog_make(problem, D, scale, kind)
+        label = _label(problem, scale, kind)
+        for mode, model in CHARGE_MODELS.items():
+            rng = substream(13, f"charge-{mode}", i)
+            led = QueryLedger()
+            o_g_delta(spec, X, sm, rng, led, model, phase="single")
+            o_delta_g(spec, X, Y, sm, rng, led, model, phase="single")
+            charges = []
+            for s in CHARGE_SIGMAS:
+                charges.append(estimate_grad_diff(spec, X, Y, sm, 0.3 * s, model, rng, led,
+                                                  phase="diff").queries_charged)
+                if s >= 0.07:  # batch sizes grow as 1/s^2
+                    charges.append(estimate_grad_diff(spec, X, FAR, sm, s, model, rng, led,
+                                                      phase="diff").queries_charged)
+                    charges.append(estimate_grad(spec, X, sm, s, model, rng, led,
+                                                 phase="grad").queries_charged)
+                if spec.smooth_params is not None:
+                    charges.append(estimate_sgrad(spec, X, s, model, rng, led,
+                                                  phase="sgrad").queries_charged)
+                    for y in (Y, FAR):
+                        charges.append(estimate_sgrad_diff(spec, X, y, s * 0.01, model, rng, led,
+                                                           phase="sgrad_diff").queries_charged)
+            out[f"charge/{label}/{mode}"] = (f"{','.join(map(str, charges))}|{_tags(led)}|"
+                                             f"{_hex(rng.standard_normal())}")
     return out
 
 
@@ -282,13 +362,33 @@ EXPECTED: dict[str, str] = {
     'run/qgfm_plus': '36673feb0c05363cffffffffffffef3f|306212,0,0|diff=167960,0,0;init=82,0,0;refresh=138170,0,0|10084|606a3e2b4c6db73c16164a3ef258793c',
     'run/qgm_plus': 'eef0985c644d763f464aa21ccb9a6d3f5b8d0d95258b66bfe4f27acc5aa9343fab81934618fa49bfd2b26fd9aea476bf375d3847f98f71bf1ad7b8529df4613f|0,0,120347|diff=0,0,37565;init=0,0,14;refresh=0,0,82768|13426|a450c161fb498f3f0000000000000000',
     'run/qgfm_plus_traced': 'b09f29b5dfd197bde9beffffffffef3f|0,10046,0|diff=0,1096,0;init=0,50,0;refresh=0,8900,0|316|9b58a85737cab23dd616b8222dda813d|aac173bc1323f1b2dc887c71701c4f86c6cf5c7da97bae105d3f0d0516affa30',
+    'run/qgfm_traced': '108da182d443b53e48e9cb54feffef3f|2480,0,0|refresh=2480,0,0|155|9d76c59cc730d43eabb0fc838438a23e|baf04dc2c39080aaaefc6beb0619011a364088aba841999fc8e679321f91a0b8',
+    'run/qgfm_classical': 'f315b64cd416e43f3b0f86a08d06e5bf0029ff792af79d3f|0,55074,0|refresh=0,55074,0|411|ea906097ccfd453c66cd9a6d4b91683c',
+    'budget/qgfm/0': '2b65ead9edabd03f455a24cf2a56b03ff1666bb78aabc4bf022c58db5716d73f|0,6400,0|refresh=0,6400,0|9600|0b4c40cfdabbee3f49685a79fcfcb73f|True',
+    'budget/qgfm/1': '7d02991e388ed13f4dca62b2fa47b33fb641b3d81252c6bf58ef98f3a006d83f|0,6400,0|refresh=0,6400,0|9600|9e45163cb117ef3ff21b1c1ed550b83f|True',
+    'budget/qgfm/2': '89c9fcd7cb72d13fa72be712d631b33f61805151f42cc6bfda7b4bd627f1d73f|0,6400,0|refresh=0,6400,0|9600|f85ad8ef8202ef3ff338497c2348b83f|True',
+    'budget/qgfm/3': '56b760bc9a7ed13f6039043e8a94b33f55f8a4cbf36cc6bf4c7e1494300bd83f|0,6400,0|refresh=0,6400,0|9600|04aa2a49d51cf03f804943cc65aeb83f|True',
+    'budget/qgfm/4': '333333333333d33f9a9999999999b93f9a9999999999c9bf9a9999999999d93f|0,6400,0|refresh=0,6400,0|9600|081e4f3d4910f03f4ee070fa05ccb83f|True',
+    'budget/qgfm/5': '15a3db70ade5d03f92bb2d4c606bb03f245ce3aeb2a4c4bffb7a508f6e27d73f|0,6400,0|refresh=0,6400,0|9600|9bcb45485e66f03ffb67fcf3b893b83f|True',
+    'budget/qgfm_plus/0': '46eaad8b94c6673cffffffffffffef3f|100014,0,0|diff=53520,0,0;init=82,0,0;refresh=46412,0,0|10084|2860b47d4935b83c8b4c389e4302793c|True',
+    'budget/qgfm_plus/1': '70c2f9ed16b7f33b010000000000f03f|100016,0,0|diff=53440,0,0;init=82,0,0;refresh=46494,0,0|10084|08697d736eddc73c8d6af2f995cd873c|True',
+    'budget/qgfm_plus/2': 'c7e7856939c46a3c010000000000f03f|100016,0,0|diff=57540,0,0;init=82,0,0;refresh=42394,0,0|10084|5f9ead71edebc73c14c035d6edcf873c|True',
+    'budget/qgm_plus/0': '0c35c393f1d327bfd2cf50e09d066cbfe5993c058621753fc05c95eeb34c67bf49994f2c6e1d673fa4ac4dd93bf7653f4a1bd6330411613fbd8f1eb19fde53bf|0,0,40005|diff=0,0,12075;init=0,0,14;refresh=0,0,27916|13426|dcd36dda1003883f0000000000000000|True',
+    'budget/qgm_plus/1': '8de45a707bfa65bfe69c10e7d456663fc876dc8de72a283f3814f711c18c79bf678cd82a44145bbf3d65f297000b783f99988eccb60f60bfb4b9ab4401f85fbf|0,0,40005|diff=0,0,11935;init=0,0,14;refresh=0,0,28056|13426|cd5153158f408f3f0000000000000000|True',
+    'budget/qgm_plus/2': '77dc0afdec1c6abf98267127aae8743fc2919752933e53bf263132b50c1a603feee80f701e56233f99b1a06b664e663f1e1a70fd3d9b5f3f15f10c87a6a8513f|0,0,40004|diff=0,0,12130;init=0,0,14;refresh=0,0,27860|13426|f6dc5200a7d2833f0000000000000000|True',
+    'charge/abs-linear/additive-offset/quantum': '100764,7920,23936,2336,832,1408,136,8,44,6|diff=134912,0,0;grad=2478,0,0;single=6,0,0|c6b5cb256d130140',
+    'charge/abs-linear/additive-offset/classical': '44552,1376,64268,1226,76,3500,68,4,52,2|diff=0,113828,0;grad=0,1296,0;single=0,6,0|fb023a31932cebbf',
+    'charge/sawtooth/component-subsample/quantum': '174636,13680,41408,4064,1472,2416,240,12,76,8|diff=233700,0,0;grad=4312,0,0;single=6,0,0|eb73f2ef8bb6f0bf',
+    'charge/sawtooth/component-subsample/classical': '44552,1376,64268,3674,76,3500,200,4,52,4|diff=0,113828,0;grad=0,3878,0;single=0,6,0|0f1a3c119e35c1bf',
+    'charge/quadratic-smooth/additive-offset/quantum': '453276,5880,210067,4786249,35424,107520,10496,352,26499,602217,3712,6272,616,20,4131,94122,28,192,20,1,252,5040|diff=606424,0,0;grad=11132,0,0;sgrad=0,0,6253;sgrad_diff=0,0,5728577;single=6,0,0|a4f0cdbd35b4e8bf',
+    'charge/quadratic-smooth/additive-offset/classical': '300716,1653,178201,92511072,9288,433808,24796,52,5503,2856327,508,23620,1350,3,300,155512,8,344,20,1,5,2240|diff=0,768292,0;grad=0,26166,0;sgrad=0,0,1709;sgrad_diff=0,0,95709160;single=0,6,0|6817fd746174e33f',
 }
 
 
 def test_estimators_bit_exact():
     got = _estimate_outputs()
-    want = {k: v for k, v in EXPECTED.items() if not k.startswith(("ref/", "single/",
-                                                                   "f_delta_mc/", "run/"))}
+    want = {k: v for k, v in EXPECTED.items()
+            if not k.startswith(("ref/", "single/", "f_delta_mc/", "run/", "budget/", "charge/"))}
     assert len(got) == len(want) == 88
     assert {k for k in got if got[k] != want.get(k)} == set()
 
@@ -300,6 +400,17 @@ def test_reference_samplers_bit_exact():
 
 def test_optimizer_runs_bit_exact():
     got = _run_outputs()
+    assert {k for k in got if got[k] != EXPECTED.get(k)} == set()
+
+
+def test_budget_aborts_bit_exact():
+    got = _budget_outputs()
+    assert all(v.endswith("|True") for v in got.values())
+    assert {k for k in got if got[k] != EXPECTED.get(k)} == set()
+
+
+def test_charge_sites_bit_exact():
+    got = _charge_outputs()
     assert {k for k in got if got[k] != EXPECTED.get(k)} == set()
 
 
@@ -329,7 +440,8 @@ def test_sphere_samplers_redraw_zero_rows(sampler):
 
 
 if __name__ == "__main__":
-    rows = {**_estimate_outputs(), **_reference_outputs(), **_run_outputs()}
+    rows = {**_estimate_outputs(), **_reference_outputs(), **_run_outputs(),
+            **_budget_outputs(), **_charge_outputs()}
     print("EXPECTED: dict[str, str] = {")
     for k, v in rows.items():
         print(f"    {k!r}: {v!r},")

@@ -67,6 +67,14 @@ def test_catalog_rejects_bad_args():
         eval_f(catalog_make("sawtooth", 2), np.zeros(3))
 
 
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_eval_f_rejects_non_finite_point(name, bad):
+    # abs-linear at (nan, 0.1) used to return nan
+    with pytest.raises(ValueError, match="point must be finite"):
+        eval_f(catalog_make(name, 2), np.array([bad, 0.1]))
+
+
 def test_canonical_start_matches_documented_gap():
     for name in CATALOG_NAMES:
         spec = catalog_make(name, 4)

@@ -39,6 +39,16 @@ def test_non_finite_point_raises(bad):
         verify_stationary(spec, point, SM, 0.1, 0.95, substream(0, "nf"))
 
 
+@pytest.mark.parametrize("problem,d", [("constant", 2), ("abs-linear", 2), ("sawtooth", 1),
+                                       ("quadratic-smooth", 2)])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_exact_distance_rejects_non_finite_point(problem, d, bad):
+    # abs-linear at (nan, 0.1) used to answer 1.0
+    point = np.array([bad, 0.1][:d])
+    with pytest.raises(ValueError, match="point must be finite"):
+        exact_goldstein_distance(catalog_make(problem, d), point, 0.1)
+
+
 def test_residual_far_from_kink():
     # gradient norm is exactly 1 out there; the estimate must cover it
     spec = catalog_make("abs-linear", 2, direction=np.array([1.0, 0.0]))
