@@ -322,17 +322,25 @@ def fixed_point_quantize(values: np.ndarray | float, frac_bits: int) -> np.ndarr
     Register contents are represented as float64 holding exact grid
     values, valid while the scaled integers stay below 2^52 (guarded);
     sums and differences of grid values are then exact, mirroring
-    reversible integer registers.
+    reversible integer registers.  Rounding is exact and the same for
+    Python floats and arrays: ties go to the even multiple, and a
+    negative value that rounds to zero gives -0.0, as np.rint does.
     """
     if frac_bits < 1:
         raise ValueError("frac_bits must be >= 1")
     scale = float(1 << frac_bits)
-    arr = np.asarray(values, dtype=float)
     limit = 2.0 ** (52 - frac_bits)
-    if np.any(~np.isfinite(arr)) or np.any(np.abs(arr) >= limit):
+    if isinstance(values, float):
+        # round() is exact half-to-even on |v * scale| < 2^52; copysign keeps -0.0
+        if not abs(values) < limit:
+            raise OverflowError(f"value outside fixed-point range (+-2^{52 - frac_bits})")
+        return math.copysign(round(values * scale) / scale, values)
+    arr = np.asarray(values, dtype=float)
+    if np.count_nonzero(np.abs(arr) < limit) != arr.size:
         raise OverflowError(f"value outside fixed-point range (+-2^{52 - frac_bits})")
-    snapped = np.rint(arr * scale) / scale
-    if np.isscalar(values) or np.ndim(values) == 0:
+    snapped = np.rint(arr * scale)
+    snapped /= scale
+    if snapped.ndim == 0:
         return float(snapped)
     return snapped
 

@@ -58,7 +58,7 @@ guarantee are identical.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -339,11 +339,16 @@ def _check_point(spec: ObjectiveSpec, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def eval_f(spec: ObjectiveSpec, x: np.ndarray) -> float:
-    """Exact expectation f(x); a non-finite point raises ValueError."""
+def _finite_point(spec: ObjectiveSpec, x: np.ndarray) -> np.ndarray:
     x = _check_point(spec, x)
     if not np.isfinite(x).all():
         raise ValueError("point must be finite")
+    return x
+
+
+def eval_f(spec: ObjectiveSpec, x: np.ndarray) -> float:
+    """Exact expectation f(x); a non-finite point raises ValueError."""
+    x = _finite_point(spec, x)
     return float(_f_rows(spec, x[None, :])[0])
 
 

@@ -34,6 +34,7 @@ from .objectives import (
     XiSample,
     _f_rows,
     _F_rows,
+    _finite_point,
     _payload_rows,
     _sample_xi_batch,
     _unit_rows,
@@ -155,29 +156,28 @@ def _ball_marginal_norm(d: int) -> float:
     return float(special.beta(0.5, (d + 1) / 2.0))
 
 
-def _expect_ball_marginal(fun, d: int, kinks: np.ndarray | None = None) -> float:
-    """E[fun(t)] for t distributed as one coordinate of a uniform ball point."""
-    norm = _ball_marginal_norm(d)
+def _expect_ball_marginal(integrand, d: int, kinks: list[float]) -> float:
+    """E[fun(t)] for t distributed as one coordinate of a uniform ball point.
 
-    def integrand(t: float) -> float:
-        return fun(t) * (1.0 - t * t) ** ((d - 1) / 2.0)
-
-    points = None
-    if kinks is not None and kinks.size:
-        points = np.clip(kinks, -1.0, 1.0)
-    val, _ = integrate.quad(integrand, -1.0, 1.0, points=points, limit=200)
-    return val / norm
+    integrand(t) returns fun(t) * (1 - t*t) ** ((d - 1) / 2.0), the
+    marginal's unnormalized density folded in; kinks lie inside (-1, 1).
+    """
+    val, _ = integrate.quad(integrand, -1.0, 1.0, points=kinks or None, limit=200)
+    return val / _ball_marginal_norm(d)
 
 
 def _sawtooth_coord_smoothed(xi: float, delta: float, d: int) -> float:
     # kinks of dist(. , Z) sit on the half-integer lattice
     lo = math.floor((xi - delta) * 2.0)
     hi = math.ceil((xi + delta) * 2.0)
-    kinks = np.array([(k / 2.0 - xi) / delta for k in range(lo, hi + 1)])
-    kinks = kinks[(kinks > -1.0) & (kinks < 1.0)]
-    return _expect_ball_marginal(
-        lambda t: abs(xi + delta * t - round(xi + delta * t)), d, kinks
-    )
+    kinks = [t for t in ((k / 2.0 - xi) / delta for k in range(lo, hi + 1)) if -1.0 < t < 1.0]
+    e = (d - 1) / 2.0
+
+    def integrand(t: float) -> float:
+        u = xi + delta * t
+        return abs(u - round(u)) * (1.0 - t * t) ** e
+
+    return _expect_ball_marginal(integrand, d, kinks)
 
 
 def f_delta(
@@ -194,9 +194,7 @@ def f_delta(
     it); mode "mc" averages n samples f(x + delta*u) over uniform ball
     points and returns (estimate, standard_error).
     """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (spec.d,):
-        raise ValueError(f"point must have shape ({spec.d},)")
+    x = _finite_point(spec, x)
     delta = params.delta
     if mode == "closed":
         if not spec.has_closed_f_delta:
@@ -210,8 +208,9 @@ def f_delta(
             c = float(spec.direction @ x)
             if abs(c) >= delta:
                 return abs(c)
-            kinks = np.array([-c / delta])
-            return _expect_ball_marginal(lambda t: abs(c + delta * t), spec.d, kinks)
+            e = (spec.d - 1) / 2.0
+            return _expect_ball_marginal(lambda t: abs(c + delta * t) * (1.0 - t * t) ** e,
+                                         spec.d, [-c / delta])
         # sawtooth: expectation splits per coordinate; each coordinate of a
         # uniform ball point has the same one-dimensional marginal.
         total = sum(_sawtooth_coord_smoothed(float(v), delta, spec.d) for v in x)
@@ -242,9 +241,7 @@ def grad_f_delta_ref(
     two-point samples.  Reference only: draws are never charged to any
     query ledger.
     """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (spec.d,):
-        raise ValueError(f"point must have shape ({spec.d},)")
+    x = _finite_point(spec, x)
     if n < 2:
         raise ValueError("reference gradient needs n >= 2")
     return _g_delta_mean(spec, x, params.delta, n, rng, want_se=True)

@@ -16,14 +16,12 @@ confidence because the measured norm upper-bounds the hull distance.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import optimize, stats
 
-from .objectives import ObjectiveSpec
-from .rng import substream
+from .objectives import ObjectiveSpec, _finite_point
 from .smoothing import SmoothingParams, _g_delta_mean
 
 __all__ = [
@@ -59,11 +57,7 @@ def goldstein_residual(
 
     Reference-side measurement: draws are not charged to any ledger.
     """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (spec.d,):
-        raise ValueError(f"point must have shape ({spec.d},)")
-    if not np.isfinite(x).all():
-        raise ValueError("point must be finite")
+    x = _finite_point(spec, x)
     if n < 2:
         raise ValueError("residual estimation needs n >= 2")
     if not 0.0 < confidence < 1.0:
@@ -119,11 +113,7 @@ def exact_goldstein_distance(spec: ObjectiveSpec, x: np.ndarray, delta: float) -
     sawtooth, and quadratic-smooth.  Returns None for other geometries.
     A non-finite point raises ValueError.
     """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (spec.d,):
-        raise ValueError(f"point must have shape ({spec.d},)")
-    if not np.isfinite(x).all():
-        raise ValueError("point must be finite")
+    x = _finite_point(spec, x)
     if delta <= 0:
         raise ValueError("delta must be positive")
     if spec.name == "constant":

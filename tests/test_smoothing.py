@@ -238,3 +238,19 @@ def test_paired_draws_are_mean_square_smooth():
                                      - g_delta(spec, y, p, w, xi)) ** 2))
             bound = (2 * spec.L / delta) ** 2 * float(np.sum((x - y) ** 2))
             assert np.mean(diffs) <= bound + 1e-9
+
+
+@pytest.mark.parametrize("name", ["abs-linear", "sawtooth"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_f_delta_and_reference_reject_non_finite_point(name, bad):
+    # abs-linear at (nan, 0.01) used to return nan, sawtooth closed mode a
+    # cryptic ValueError or OverflowError, grad_f_delta_ref NaN vectors
+    spec = catalog_make(name, 2)
+    point = np.array([bad, 0.01])
+    sm = SmoothingParams(0.1)
+    with pytest.raises(ValueError, match="point must be finite"):
+        f_delta(spec, point, sm)
+    with pytest.raises(ValueError, match="point must be finite"):
+        f_delta(spec, point, sm, mode="mc", n=10, rng=substream(0, "nf"))
+    with pytest.raises(ValueError, match="point must be finite"):
+        grad_f_delta_ref(spec, point, sm, 10, substream(0, "nf"))
