@@ -4,15 +4,17 @@ Two interchangeable paths produce the estimator's randomness:
 
 * an exact amplitude-vector simulator for tiny register layouts
   (``statevector_prepare`` / ``statevector_apply_h_and_norm`` /
-  ``measure_sample``), and
+  ``measure_sample_batch``, with ``measure_sample`` its one-draw view),
+  which measures basis indices by Born probabilities and decodes each
+  measured index, and
 * a classical pipeline sampler (``pipeline_sample``) that draws the same
-  bitstrings directly and therefore has EXACTLY the measurement
+  bit sums directly and therefore has EXACTLY the measurement
   distribution of the state-vector path on any layout, including ones
   far beyond simulable size.
 
-Both share one decode: register one holds xi on m1 bits; register two
-holds d groups of m2 bits whose sums S_j standardize to
-h_j = (2 S_j - m2) / sqrt(m2), and w is h / ||h||.  An all-zero h vector
+Both share one decode from bit sums onward: register one holds xi on m1
+bits; register two holds d groups of m2 bits whose sums S_j standardize
+to h_j = (2 S_j - m2) / sqrt(m2), and w is h / ||h||.  An all-zero h vector
 cannot be normalized; such outcomes are flagged invalid and their exact
 probability is exposed (``invalid_probability``) rather than hidden.
 At large m2 the h_j approach independent standard Gaussians, so w
@@ -34,7 +36,6 @@ from .objectives import ObjectiveSpec, XiSample, eval_F
 from .smoothing import SmoothingParams
 
 __all__ = [
-    "DECODE_CACHE_MAX_QUBITS",
     "RegisterLayout",
     "SampleOutcome",
     "StageTape",
@@ -54,8 +55,6 @@ __all__ = [
 ]
 
 STATEVECTOR_MAX_QUBITS = 22
-# Full per-basis-state decode tables are only cached below this size.
-DECODE_CACHE_MAX_QUBITS = 16
 _NORM_TOL = 1e-10
 
 
@@ -86,17 +85,13 @@ class RegisterLayout:
 class StateVector:
     """Amplitudes over the m1 + d*m2 qubit computational basis.
 
-    decoded_* tables (basis index -> xi / w / validity) are attached by
-    statevector_apply_h_and_norm on small layouts; measurement decodes
-    on the fly otherwise.
+    h_applied marks a state that went through statevector_apply_h_and_norm;
+    measurement decodes (xi, w) from each measured basis index.
     """
 
     amplitudes: np.ndarray
     layout: RegisterLayout
     h_applied: bool = False
-    decoded_xi: np.ndarray | None = None
-    decoded_w: np.ndarray | None = None
-    decoded_valid: np.ndarray | None = None
 
 
 @dataclass
@@ -130,10 +125,13 @@ class StageTape:
 # state preparation and decoding
 
 
-def _check_norm(amps: np.ndarray) -> None:
-    total = float(np.sum(np.abs(amps) ** 2))
+def _born_probabilities(amps: np.ndarray) -> np.ndarray:
+    """|amplitudes|^2, after checking that they sum to 1 within tolerance."""
+    p = np.abs(amps) ** 2
+    total = float(np.sum(p))
     if abs(total - 1.0) > _NORM_TOL:
         raise ValueError(f"state norm {total} deviates from 1 beyond tolerance")
+    return p
 
 
 def statevector_prepare(layout: RegisterLayout) -> StateVector:
@@ -146,13 +144,11 @@ def statevector_prepare(layout: RegisterLayout) -> StateVector:
     return StateVector(amplitudes=amps, layout=layout)
 
 
-def h_standardize(bits: np.ndarray, *, uncentered: bool = False) -> float:
+def h_standardize(bits: np.ndarray) -> float:
     """Map one coordinate's m2 bits to its standardized sum.
 
-    The default (2*sum - m2)/sqrt(m2) has mean 0 and variance 1 under
-    uniform bits, so coordinates converge to standard Gaussians as m2
-    grows.  uncentered=True evaluates the variant 2*sum - sqrt(m2) for
-    inspection; it is not used anywhere downstream.
+    (2*sum - m2)/sqrt(m2) has mean 0 and variance 1 under uniform bits,
+    so coordinates converge to standard Gaussians as m2 grows.
     """
     bits = np.asarray(bits)
     if bits.ndim != 1 or bits.size < 1:
@@ -161,8 +157,6 @@ def h_standardize(bits: np.ndarray, *, uncentered: bool = False) -> float:
         raise ValueError("bits must be binary")
     m2 = bits.size
     s = float(np.sum(bits))
-    if uncentered:
-        return 2.0 * s - math.sqrt(m2)
     return (2.0 * s - m2) / math.sqrt(m2)
 
 
@@ -199,55 +193,38 @@ def statevector_apply_h_and_norm(state: StateVector) -> StateVector:
 
     The arithmetic writes h-values and the norm into ancillas and divides
     the coordinate registers, a basis-relabeling that leaves every
-    amplitude magnitude unchanged; the simulator therefore keeps the
-    amplitude array and materializes the relabeling as decode tables
-    (cached in full on small layouts, recomputed per draw otherwise).
-    Basis states whose h vector is exactly zero are marked invalid.
+    amplitude magnitude unchanged; the simulator therefore checks the
+    norm, keeps a copy of the amplitude array and applies the relabeling
+    at measurement, decoding only the measured indices.  Outcomes whose
+    h vector is exactly zero are marked invalid there.
     """
-    _check_norm(state.amplitudes)
-    layout = state.layout
-    out = StateVector(amplitudes=state.amplitudes.copy(), layout=layout, h_applied=True)
-    if layout.total_qubits <= DECODE_CACHE_MAX_QUBITS:
-        all_idx = np.arange(state.amplitudes.size, dtype=np.uint64)
-        xi, sums = _decode_indices(layout, all_idx)
-        W, valid = _w_from_sums(sums, layout.m2)
-        out.decoded_xi = xi
-        out.decoded_w = W
-        out.decoded_valid = valid
-    return out
+    _born_probabilities(state.amplitudes)
+    return StateVector(amplitudes=state.amplitudes.copy(), layout=state.layout, h_applied=True)
 
 
 # ---------------------------------------------------------------------------
 # sampling
 
 
-def _decode_outcome(layout: RegisterLayout, index: int) -> SampleOutcome:
-    xi, sums = _decode_indices(layout, np.array([index], dtype=np.uint64))
-    W, valid = _w_from_sums(sums, layout.m2)
+def measure_sample(state: StateVector, rng: np.random.Generator) -> SampleOutcome:
+    """Draw one basis state by Born probabilities and decode (xi, w).
+
+    A one-row measure_sample_batch: uniform(size=1) draws the same double
+    as uniform(), so the stream advances exactly as for a scalar draw.
+    """
+    xi, W, valid = measure_sample_batch(state, 1, rng)
     ok = bool(valid[0])
     return SampleOutcome(xi=int(xi[0]), w=W[0] if ok else None, valid=ok)
-
-
-def measure_sample(state: StateVector, rng: np.random.Generator) -> SampleOutcome:
-    """Draw one basis state by Born probabilities and decode (xi, w)."""
-    _check_norm(state.amplitudes)
-    p = np.abs(state.amplitudes) ** 2
-    cum = np.cumsum(p)
-    index = int(np.searchsorted(cum, rng.uniform() * cum[-1], side="right"))
-    index = min(index, p.size - 1)
-    if state.decoded_w is not None:
-        ok = bool(state.decoded_valid[index])
-        return SampleOutcome(xi=int(state.decoded_xi[index]),
-                             w=state.decoded_w[index] if ok else None, valid=ok)
-    return _decode_outcome(state.layout, index)
 
 
 def measure_sample_batch(
     state: StateVector, n: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized measure_sample: returns (xi, W, valid) arrays of length n."""
-    _check_norm(state.amplitudes)
-    p = np.abs(state.amplitudes) ** 2
+    """Draw n basis states by Born probabilities: (xi, W, valid) arrays of length n.
+
+    Invalid rows of W are NaN.
+    """
+    p = _born_probabilities(state.amplitudes)
     cum = np.cumsum(p)
     idx = np.searchsorted(cum, rng.uniform(size=n) * cum[-1], side="right")
     idx = np.minimum(idx, p.size - 1).astype(np.uint64)
@@ -308,7 +285,8 @@ def invalid_probability(layout: RegisterLayout) -> float:
     """
     if layout.m2 % 2 == 1:
         return 0.0
-    per_coord = math.comb(layout.m2, layout.m2 // 2) / (2.0 ** layout.m2)
+    # exact integer division: 2.0 ** m2 overflows a float from m2 = 1024
+    per_coord = math.comb(layout.m2, layout.m2 // 2) / 2 ** layout.m2
     return per_coord ** layout.d
 
 

@@ -265,18 +265,14 @@ def _verdict(result: RunResult, eps: float) -> str:
 def run_one(config: ExperimentConfig, spec: ObjectiveSpec, eps: float, seed: int) -> RunRow:
     """Derive the schedule, run, classify the residual against eps."""
     t0 = time.perf_counter()
-    if config.algorithm == "qgfm":
-        params = derive_params_qgfm(spec.d, spec.L, config.delta, eps, spec.delta_0)
-        result = qgfm(spec, spec.x0, params, SmoothingParams(config.delta), config.cost, seed,
-                      trace=config.trace, budget=config.budget, residual_n=config.residual_n,
-                      residual_confidence=config.residual_confidence)
-        p = None
-    elif config.algorithm == "qgfm_plus":
-        params = derive_params_qgfm_plus(spec.d, spec.L, config.delta, eps, spec.delta_0)
-        result = qgfm_plus(spec, spec.x0, params, SmoothingParams(config.delta), config.cost, seed,
-                           trace=config.trace, budget=config.budget, residual_n=config.residual_n,
-                           residual_confidence=config.residual_confidence)
-        p = params.p
+    if config.algorithm in ("qgfm", "qgfm_plus"):
+        # picked per call from the module globals, which the benchmark's span tracer rebinds
+        derive, run = ((derive_params_qgfm, qgfm) if config.algorithm == "qgfm"
+                       else (derive_params_qgfm_plus, qgfm_plus))
+        params = derive(spec.d, spec.L, config.delta, eps, spec.delta_0)
+        result = run(spec, spec.x0, params, SmoothingParams(config.delta), config.cost, seed,
+                     trace=config.trace, budget=config.budget, residual_n=config.residual_n,
+                     residual_confidence=config.residual_confidence)
     else:
         if spec.smooth_params is None:
             raise ConfigError(f"{config.problem} has no smooth gradient oracle")
@@ -284,7 +280,6 @@ def run_one(config: ExperimentConfig, spec: ObjectiveSpec, eps: float, seed: int
         params = derive_params_qgm_plus(l, sigma, eps, spec.delta_0, spec.d)
         result = qgm_plus(spec, spec.x0, params, config.cost, seed,
                           trace=config.trace, budget=config.budget)
-        p = params.p
     wall_ms = int(round((time.perf_counter() - t0) * 1000.0)) if config.timings else 0
     led = result.ledger
     return RunRow(
@@ -296,7 +291,7 @@ def run_one(config: ExperimentConfig, spec: ObjectiveSpec, eps: float, seed: int
         eps=eps,
         seed=seed,
         T=result.T,
-        p=p,
+        p=result.p,
         uf_queries=led.uf_queries,
         classical_queries=led.classical_queries,
         grad_oracle_queries=led.grad_oracle_queries,

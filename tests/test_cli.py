@@ -113,6 +113,12 @@ def test_circuit_demo(capsys):
     assert "xi uniformity chi2" in out
 
 
+def test_circuit_demo_wide_even_register(capsys):
+    code = main(["circuit-demo", "--m1", "2", "--m2", "1024", "--d", "2", "--n", "100"])
+    assert code == 0
+    assert "layout: m1=2 m2=1024 d=2 (2050 qubits total)" in capsys.readouterr().out
+
+
 def test_circuit_demo_bad_n(capsys):
     assert main(["circuit-demo", "--m1", "1", "--m2", "2", "--d", "2", "--n", "0"]) == 2
     assert "must be positive" in capsys.readouterr().err

@@ -1,5 +1,6 @@
-"""Bit-exactness of the estimator hot path, the recursion loop and the
-reference-side arithmetic (fixed-point emulation, closed-form f_delta).
+"""Bit-exactness of the estimator hot path, the recursion loop, the
+reference-side arithmetic (fixed-point emulation, closed-form f_delta)
+and the sampling circuit's measured and pipeline draws.
 
 The expected strings below are the exact float64 bytes (hex) of outputs
 recorded from the reference implementation.  Any change to how the
@@ -36,13 +37,19 @@ from qzopt import (
     f_delta,
     fixed_point_quantize,
     grad_f_delta_ref,
+    measure_sample,
+    measure_sample_batch,
     o_delta_g,
     o_g_delta,
+    pipeline_sample,
+    pipeline_sample_batch,
     qgfm,
     qgfm_plus,
     qgm_plus,
     sample_sphere,
     sample_xi,
+    statevector_apply_h_and_norm,
+    statevector_prepare,
     substream,
 )
 from qzopt import objectives, smoothing
@@ -332,6 +339,59 @@ def _f_delta_closed_outputs() -> dict[str, str]:
     return out
 
 
+def _draws_digest(draws) -> str:
+    """sha256 over each draw's xi, valid flag, w bytes (hex) and rejection count."""
+    h = hashlib.sha256()
+    for o in draws:
+        w = "-" if o.w is None else _hex(o.w)
+        h.update(f"{o.xi}:{o.valid}:{w}:{o.rejections};".encode())
+    return h.hexdigest()
+
+
+def _batch_digest(xi, W, valid) -> str:
+    """sha256 over a batch's xi values, W bytes (hex, NaN rows included) and valid flags."""
+    h = hashlib.sha256()
+    h.update(",".join(map(str, xi)).encode())
+    h.update(_hex(W).encode())
+    h.update(np.asarray(valid, dtype=bool).tobytes())
+    return h.hexdigest()
+
+
+# (m1, m2, d): 5, 14 and 8 qubits with invalid outcomes, 7 with none (odd m2), and
+# 17 qubits, a state vector of more than 2^16 basis states
+CIRCUIT_LAYOUTS = ((1, 2, 2), (2, 4, 3), (3, 1, 5), (2, 3, 2), (1, 4, 4))
+
+
+def _circuit_outputs() -> dict[str, str]:
+    """Measured and pipeline (xi, w) draws, and the draw that follows them."""
+    out = {}
+    for i, (m1, m2, d) in enumerate(CIRCUIT_LAYOUTS):
+        layout = RegisterLayout(m1=m1, m2=m2, d=d)
+        label = f"m1_{m1}_m2_{m2}_d{d}"
+        state = statevector_apply_h_and_norm(statevector_prepare(layout))
+        rng = substream(15, "measure", i)
+        draws = [measure_sample(state, rng) for _ in range(300)]
+        out[f"circuit/measure_sample/{label}"] = (
+            f"{sum(o.valid for o in draws)}|{_draws_digest(draws)}|{_hex(rng.standard_normal())}")
+        rng = substream(15, "measure_batch", i)
+        batch = measure_sample_batch(state, 500, rng)
+        out[f"circuit/measure_sample_batch/{label}"] = (
+            f"{int(batch[2].sum())}|{_batch_digest(*batch)}|{_hex(rng.standard_normal())}")
+        for resample in (False, True):
+            rng = substream(15, f"pipeline-{resample}", i)
+            draws = [pipeline_sample(layout, rng, resample=resample) for _ in range(300)]
+            out[f"circuit/pipeline_sample/{label}/resample{resample}"] = (
+                f"{sum(o.valid for o in draws)},{sum(o.rejections for o in draws)}|"
+                f"{_draws_digest(draws)}|{_hex(rng.standard_normal())}")
+    for i, (m1, m2, d) in enumerate(((2, 4, 3), (8, 256, 8), (62, 2, 3), (63, 3, 2), (64, 2, 2))):
+        rng = substream(15, "pipeline_batch", i)
+        batch = pipeline_sample_batch(RegisterLayout(m1=m1, m2=m2, d=d), 400, rng)
+        out[f"circuit/pipeline_sample_batch/m1_{m1}_m2_{m2}_d{d}"] = (
+            f"{batch[0].dtype}|{int(batch[2].sum())}|{_batch_digest(*batch)}|"
+            f"{_hex(rng.standard_normal())}")
+    return out
+
+
 EXPECTED: dict[str, str] = {
     'grad/constant/none/n10/quantum': '000000000000000000000000000000000000000000000000|12|12,0,0|6ba613717d5af63f',
     'grad_diff/constant/none/n10/quantum': '000000000000000000000000000000000000000000000000|40|40,0,0|972e83f3a113d33f',
@@ -526,6 +586,31 @@ EXPECTED: dict[str, str] = {
     'f_delta_closed/abs-linear/d8/delta0.3': '8c36ac180ddeb33fe18dfa28f441b93fc292e2c9ba32c73f1bde33333333d33f1bde33333333d33f74ed42333333d33fcaccccccccccdc3fffffffffffff07408c36ac180ddeb33f',
     'f_delta_closed/sawtooth/d8/delta0.7': '578f795e4c4be03f578f795e4c4be03f578f795e4c4be03fa7e9846ef0f5ec3fa7e9846ef0f5ec3f588f795e4c4be03f588f795e4c4be03f578f795e4c4be03f578f795e4c4be03f0b900bb698f4ea3fe6ce87db824de43fdc5bc3ba1894e83fdd5bc3ba1894e83fd4314e84b8f2ec3feb657c62f575e33f',
     'f_delta_closed/abs-linear/d8/delta0.7': 'a43f1ef2b92dc73f89a579da9c77cd3f8b0033968410db3fcc2d67666666e63f666666666666e63f666666666666e63fcbccccccccccf03fffffffffffff0740a43f1ef2b92dc73f',
+    'circuit/measure_sample/m1_1_m2_2_d2': '212|9deacf1ff3e021e83245266d739b5734364a7d588e9af37b47cdc20d299d040e|e8c0ae418d18c4bf',
+    'circuit/measure_sample_batch/m1_1_m2_2_d2': '372|6a962d5b0626c1d21ab3cb55dceac21bf6bce7024203976329107630df227f50|87dece6e49bef2bf',
+    'circuit/pipeline_sample/m1_1_m2_2_d2/resampleFalse': '237,0|cc50b2d0e1d4111d1c67c9b760763c62abdc87ff1f6911327dfc2b96d5209fce|1725110528fce1bf',
+    'circuit/pipeline_sample/m1_1_m2_2_d2/resampleTrue': '300,84|cb57822a834f9d0657d5f2f83300a4e608abb98fdf14b7a1daaf5a197e1f0356|bf28d88d9bdec53f',
+    'circuit/measure_sample/m1_2_m2_4_d3': '288|2e607309465900a365b1f1609ffdb4ede4fe99a2fe19fbedc96f76a459b18be9|ee92ff27aa1abd3f',
+    'circuit/measure_sample_batch/m1_2_m2_4_d3': '473|55184ee8e879e67495f0e26f92fa6668346748c5a85b56a8206e17ddf1449cbb|1a8b328666699bbf',
+    'circuit/pipeline_sample/m1_2_m2_4_d3/resampleFalse': '287,0|5c458138db7f2610dec43aead39968d7a22c8f1ddf991ab9dbbfaa4fc217c5ce|6bdd9aa9537eeabf',
+    'circuit/pipeline_sample/m1_2_m2_4_d3/resampleTrue': '300,11|72feade3835012cbdc60cb23c827e136c5a1a64fc27209753260703c4e9c51e4|afddfea4383df53f',
+    'circuit/measure_sample/m1_3_m2_1_d5': '300|6027f3d9771f3fc6f3939854f952d4104bf4b289b8fa44b52065c97c29c39121|887227fdbc16f23f',
+    'circuit/measure_sample_batch/m1_3_m2_1_d5': '500|3482c5ea2095bf77506b2977382bda4e01bcbcee150dde526381f4edb7a31139|4d0b5d09676cefbf',
+    'circuit/pipeline_sample/m1_3_m2_1_d5/resampleFalse': '300,0|0ee21e134e95fdb8daaa4f4fbb8a43867e02b959879be1617b4d930b9eb47875|698f100fafa3e33f',
+    'circuit/pipeline_sample/m1_3_m2_1_d5/resampleTrue': '300,0|9bcf790090ef5910cfeeddc703394b2b1bd4f3d1a9396cadc42946bc6b096b97|3b8e54dc5789d4bf',
+    'circuit/measure_sample/m1_2_m2_3_d2': '300|cae47cbfecf3e59f29bd965beaea8271367ddaff3a3aeabea9dcad71f0a0cec9|5d27b0398045eb3f',
+    'circuit/measure_sample_batch/m1_2_m2_3_d2': '500|262040b5868902a2183243ac9dba0edddc29f8dee62b1eccb1cfee76245edd66|78a6ed1f4f31d0bf',
+    'circuit/pipeline_sample/m1_2_m2_3_d2/resampleFalse': '300,0|12f67c13a74df873a0a0f903d1d99a9459340d5b323a3908048123c3347847d5|d68bba831b2fcfbf',
+    'circuit/pipeline_sample/m1_2_m2_3_d2/resampleTrue': '300,0|7546178986f32018f9332b5d6f0c63576ccccae07b5f542f982785b56ae5bdda|c00c2fd89a6fe1bf',
+    'circuit/measure_sample/m1_1_m2_4_d4': '296|35f87c2acb7bdbfa9554d729ecfacb30479ee75adfe3f5548276bcdb0c5d562f|57044e1f399cdb3f',
+    'circuit/measure_sample_batch/m1_1_m2_4_d4': '488|438b4c9944668e0127768973a17cada3de9a0c95cd968f65f6ca53a8b9ad4e27|2023670d100bec3f',
+    'circuit/pipeline_sample/m1_1_m2_4_d4/resampleFalse': '295,0|6a2e8d71bb27e868ad864f11b1f3b430e45824d357aafeaf755d9c9f8b2c97fa|d3a7d38ec07efb3f',
+    'circuit/pipeline_sample/m1_1_m2_4_d4/resampleTrue': '300,3|a04d64b19bb6b300770da3db97cec53ee70336f09a68afe090835e390e4cefdf|224720515370c4bf',
+    'circuit/pipeline_sample_batch/m1_2_m2_4_d3': 'int64|384|b3f15df74482a91be34e7bce7408836b2dd823495c2e3c991370c18df76d4df4|7971c6238d07e4bf',
+    'circuit/pipeline_sample_batch/m1_8_m2_256_d8': 'int64|400|256826ef7599440b043b9b3b5039b58efd29cc76296e94cfe94d746cdcbeca77|1ba8af4933b5f43f',
+    'circuit/pipeline_sample_batch/m1_62_m2_2_d3': 'int64|353|8624073a69c0787c370aa7d8b8524388fdacabad161ce2fb73c2279b387e4365|19ed9f6bd53ec93f',
+    'circuit/pipeline_sample_batch/m1_63_m2_3_d2': 'object|400|24912fea63cda324802799db9fd99074128720ff01cd26bf62127cde85b942c0|5fd996d43729f6bf',
+    'circuit/pipeline_sample_batch/m1_64_m2_2_d2': 'object|308|e552e63ce5be9319b52ad2899532e7d298a53055bca1782c3053e97c6b30576d|e07c2044524de8bf',
 }
 
 
@@ -533,7 +618,8 @@ def test_estimators_bit_exact():
     got = _estimate_outputs()
     want = {k: v for k, v in EXPECTED.items()
             if not k.startswith(("ref/", "single/", "f_delta_mc/", "run/", "budget/", "charge/",
-                                 "quantize/", "emulate/", "f_delta_closed/"))}
+                                 "quantize/", "emulate/", "f_delta_closed/",
+                                 "circuit/"))}
     assert len(got) == len(want) == 88
     assert {k for k in got if got[k] != want.get(k)} == set()
 
@@ -576,6 +662,14 @@ def test_f_delta_closed_bit_exact():
     assert {k for k in got if got[k] != EXPECTED.get(k)} == set()
 
 
+def test_circuit_sampling_bit_exact():
+    got = _circuit_outputs()
+    resampled = [v for k, v in got.items() if k.startswith("circuit/pipeline_sample/")
+                 and k.endswith("resampleTrue")]
+    assert any(int(v.split("|")[0].split(",")[1]) > 0 for v in resampled)
+    assert {k for k in got if got[k] != EXPECTED.get(k)} == set()
+
+
 class _ZeroFirstRow:
     """Generator stub: the first batch has an all-zero row 0, later batches are ones."""
 
@@ -604,7 +698,7 @@ def test_sphere_samplers_redraw_zero_rows(sampler):
 if __name__ == "__main__":
     rows = {**_estimate_outputs(), **_reference_outputs(), **_run_outputs(),
             **_budget_outputs(), **_charge_outputs(), **_quantize_outputs(),
-            **_emulate_outputs(), **_f_delta_closed_outputs()}
+            **_emulate_outputs(), **_f_delta_closed_outputs(), **_circuit_outputs()}
     print("EXPECTED: dict[str, str] = {")
     for k, v in rows.items():
         print(f"    {k!r}: {v!r},")
