@@ -86,12 +86,15 @@ class StateVector:
     """Amplitudes over the m1 + d*m2 qubit computational basis.
 
     h_applied marks a state that went through statevector_apply_h_and_norm;
-    measurement decodes (xi, w) from each measured basis index.
+    measurement decodes (xi, w) from each measured basis index.  _born
+    holds (amplitudes, cumulative Born probabilities) as checked there;
+    measurement uses it only while amplitudes is still that array.
     """
 
     amplitudes: np.ndarray
     layout: RegisterLayout
     h_applied: bool = False
+    _born: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -196,10 +199,13 @@ def statevector_apply_h_and_norm(state: StateVector) -> StateVector:
     amplitude magnitude unchanged; the simulator therefore checks the
     norm, keeps a copy of the amplitude array and applies the relabeling
     at measurement, decoding only the measured indices.  Outcomes whose
-    h vector is exactly zero are marked invalid there.
+    h vector is exactly zero are marked invalid there.  The copy is
+    read-only, so the checked distribution stays valid for it.
     """
-    _born_probabilities(state.amplitudes)
-    return StateVector(amplitudes=state.amplitudes.copy(), layout=state.layout, h_applied=True)
+    cum = np.cumsum(_born_probabilities(state.amplitudes))
+    amps = state.amplitudes.copy()
+    amps.flags.writeable = False
+    return StateVector(amplitudes=amps, layout=state.layout, h_applied=True, _born=(amps, cum))
 
 
 # ---------------------------------------------------------------------------
@@ -222,12 +228,15 @@ def measure_sample_batch(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Draw n basis states by Born probabilities: (xi, W, valid) arrays of length n.
 
-    Invalid rows of W are NaN.
+    Invalid rows of W are NaN.  Any state but an unchanged one from
+    statevector_apply_h_and_norm has its norm checked on every call.
     """
-    p = _born_probabilities(state.amplitudes)
-    cum = np.cumsum(p)
+    if state._born is not None and state._born[0] is state.amplitudes:
+        cum = state._born[1]
+    else:
+        cum = np.cumsum(_born_probabilities(state.amplitudes))
     idx = np.searchsorted(cum, rng.uniform(size=n) * cum[-1], side="right")
-    idx = np.minimum(idx, p.size - 1).astype(np.uint64)
+    idx = np.minimum(idx, cum.size - 1).astype(np.uint64)
     xi, sums = _decode_indices(state.layout, idx)
     W, valid = _w_from_sums(sums, state.layout.m2)
     return xi, W, valid

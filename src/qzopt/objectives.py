@@ -266,6 +266,32 @@ def _sample_xi_batch(spec: ObjectiveSpec, n: int, rng: np.random.Generator):
     return rng.uniform(-spec.noise_scale, spec.noise_scale, size=n)
 
 
+# Row-wise work on an (n, d) batch runs over blocks of about this many
+# elements (256 KiB of float64), so that its temporaries stay in L2.
+_BLOCK = 1 << 15
+
+
+def _block_rows(d: int) -> int:
+    """Rows per compute block: a multiple of 64 near _BLOCK / d, at least 64."""
+    return max(64, _BLOCK // d & -64)
+
+
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    """sqrt of the row sums of v*v, over row blocks when v is larger than one
+    block; each row's bytes are those of the whole-array expression."""
+    if v.size <= _BLOCK:
+        return np.sqrt(np.add.reduce(v * v, axis=1))
+    n = v.shape[0]
+    step = _block_rows(v.shape[1])
+    norms = np.empty(n)
+    for start in range(0, n, step):
+        b = v[start:start + step]
+        out = norms[start:start + step]
+        np.add.reduce(b * b, axis=1, out=out)
+        np.sqrt(out, out=out)
+    return norms
+
+
 def _unit_rows(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
     """n uniform unit rows in R^d, normalized in place.
 
@@ -275,11 +301,11 @@ def _unit_rows(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
     zero) are redrawn.
     """
     v = rng.standard_normal((n, d))
-    norms = np.sqrt(np.add.reduce(v * v, axis=1))
+    norms = _row_norms(v)
     while np.count_nonzero(norms) < n:
         bad = norms == 0.0
         v[bad] = rng.standard_normal((int(bad.sum()), d))
-        norms = np.sqrt(np.add.reduce(v * v, axis=1))
+        norms = _row_norms(v)
     v /= norms[:, None]
     return v
 

@@ -32,6 +32,8 @@ from scipy import integrate, special
 from .objectives import (
     ObjectiveSpec,
     XiSample,
+    _BLOCK,
+    _block_rows,
     _f_rows,
     _F_rows,
     _finite_point,
@@ -49,7 +51,9 @@ __all__ = [
     "sample_sphere",
 ]
 
-# Batched estimator evaluations are chunked to bound peak memory.
+# Rows drawn at once by _g_delta_mean (the draw chunk).  Where a chunk ends
+# fixes the noisy streams, so it stays a row count; the estimates are formed
+# over smaller compute blocks, and only the draws themselves are chunk-sized.
 _CHUNK = 1 << 18
 
 
@@ -119,8 +123,24 @@ def _g_delta_mean(
     want_se: bool = False,
     y: np.ndarray | None = None,
 ):
-    """Mean of n fresh two-point estimates, chunked; optional per-coord SE.
-    With y, of the shared-draw differences g_delta(x; w, xi) - g_delta(y; w, xi)."""
+    """Mean of n fresh two-point estimates; optional per-coordinate SE.
+    With y, of the shared-draw differences g_delta(x; w, xi) - g_delta(y; w, xi).
+
+    Draw chunk: W and then the payload are drawn whole for each _CHUNK
+    rows, so the streams do not depend on how the work is split after that.
+    Compute block: a chunk longer than one block of objectives._BLOCK
+    elements is evaluated over blocks of _block_rows(d) rows, a multiple of
+    64, so that each block keeps the 4-row grouping of the BLAS matvec in
+    _F_rows and every row has the bytes the whole-chunk call gives it; a
+    one-row tail joins the block before it, since a one-row matvec takes
+    another kernel.  Carry: np.add.reduce over axis 0 of a C-ordered
+    (rows, d) array with d > 1 adds the rows one after another, so adding
+    the sum of the earlier blocks into a block's first row before reducing
+    it gives the whole-chunk sum to the bit (squares are taken before their
+    carry goes in).  At d = 1 the reduction is pairwise, so the chunk is
+    one block.  The carry restarts with each chunk and the chunk sums add up
+    in chunk order, so the result does not depend on the block size.
+    """
     total = np.zeros(spec.d)
     total_sq = np.zeros(spec.d) if want_se else None
     left = n
@@ -128,13 +148,19 @@ def _g_delta_mean(
         m = min(left, _CHUNK)
         W = _sphere_batch(spec.d, m, rng)
         payload = _sample_xi_batch(spec, m, rng)
-        G = _g_delta_rows(spec, x, delta, W, payload)
-        if y is not None:
-            G -= _g_delta_rows(spec, y, delta, W, payload)
-        total += np.add.reduce(G, axis=0)
-        if want_se:
-            G *= G
-            total_sq += np.add.reduce(G, axis=0)
+        if m * spec.d <= _BLOCK or spec.d == 1:
+            G = _g_delta_rows(spec, x, delta, W, payload)
+            if y is not None:
+                G -= _g_delta_rows(spec, y, delta, W, payload)
+            total += np.add.reduce(G, axis=0)
+            if want_se:
+                G *= G
+                total_sq += np.add.reduce(G, axis=0)
+        else:
+            acc, acc_sq = _blocked_sums(spec, x, y, delta, W, payload, want_se)
+            total += acc
+            if want_se:
+                total_sq += acc_sq
         left -= m
     mean = total / n
     if not want_se:
@@ -145,6 +171,40 @@ def _g_delta_mean(
     else:
         se = np.full(spec.d, np.inf)
     return mean, se
+
+
+def _blocked_sums(
+    spec: ObjectiveSpec,
+    x: np.ndarray,
+    y: np.ndarray | None,
+    delta: float,
+    W: np.ndarray,
+    payload,
+    want_se: bool,
+):
+    """Column sums of one chunk's estimates and, with want_se, of their
+    squares, over compute blocks with a carried sum (see _g_delta_mean)."""
+    m = W.shape[0]
+    step = _block_rows(spec.d)
+    acc = acc_sq = None
+    start = 0
+    while start < m:
+        stop = m if m - start <= step + 1 else start + step
+        Wb = W[start:stop]
+        pb = None if payload is None else payload[start:stop]
+        G = _g_delta_rows(spec, x, delta, Wb, pb)
+        if y is not None:
+            G -= _g_delta_rows(spec, y, delta, Wb, pb)
+        if want_se:
+            sq = G * G
+            if acc_sq is not None:
+                sq[0] += acc_sq
+            acc_sq = np.add.reduce(sq, axis=0)
+        if acc is not None:
+            G[0] += acc
+        acc = np.add.reduce(G, axis=0)
+        start = stop
+    return acc, acc_sq
 
 
 # ---------------------------------------------------------------------------

@@ -140,6 +140,21 @@ def test_measure_sample_norm_guard():
         qz.measure_sample(bad, substream(2, "ms2"))
 
 
+def test_measure_sample_reuses_checked_distribution_only_for_its_amplitudes():
+    st = qz.statevector_apply_h_and_norm(
+        qz.statevector_prepare(qz.RegisterLayout(m1=2, m2=3, d=2)))
+    with pytest.raises(ValueError):
+        st.amplitudes[0] = 1.0
+    # a rebuilt state with the same amplitudes recomputes the distribution: same draws
+    plain = qz.StateVector(amplitudes=st.amplitudes, layout=st.layout, h_applied=True)
+    a = qz.measure_sample_batch(st, 200, substream(2, "reuse"))
+    b = qz.measure_sample_batch(plain, 200, substream(2, "reuse"))
+    assert all(np.array_equal(u, v, equal_nan=True) for u, v in zip(a, b))
+    st.amplitudes = 2.0 * st.amplitudes
+    with pytest.raises(ValueError):
+        qz.measure_sample(st, substream(2, "reuse"))
+
+
 @settings(max_examples=60, deadline=None)
 @given(hst.floats(-4000.0, 4000.0, allow_nan=False), hst.integers(1, 40))
 def test_fixed_point_quantize_grid(v, fb):

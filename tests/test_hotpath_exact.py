@@ -1,6 +1,6 @@
-"""Bit-exactness of the estimator hot path, the recursion loop, the
-reference-side arithmetic (fixed-point emulation, closed-form f_delta)
-and the sampling circuit's measured and pipeline draws.
+"""Bit-exactness of the estimator hot path, large-n estimator means, the
+recursion loop, the reference-side arithmetic (fixed-point emulation,
+closed-form f_delta) and the sampling circuit's measured and pipeline draws.
 
 The expected strings below are the exact float64 bytes (hex) of outputs
 recorded from the reference implementation.  Any change to how the
@@ -14,6 +14,9 @@ To re-record after an intended output change, run this file as a script
 printed mapping over EXPECTED.
 """
 import hashlib
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -138,6 +141,49 @@ def _reference_outputs() -> dict[str, str]:
         out[f"single/{label}"] = f"{_hex(g1)}|{_hex(g2)}|{led.uf_queries}"
         est, se_mc = smoothing.f_delta(spec, X, sm, mode="mc", n=500, rng=rng)
         out[f"f_delta_mc/{label}"] = f"{_hex(est)}|{_hex(se_mc)}|{_hex(rng.standard_normal())}"
+    return out
+
+
+# (problem, d, noise_scale, noise_kind, n, with y, draw chunk or None for the default):
+# large-n estimator means over many compute blocks, a trailing one-row block (n = 20*512 + 1
+# at d=64) and, with a 5000-row draw chunk, several chunks per call
+BLOCKED_CASES = (
+    ("abs-linear", 64, 0.0, None, 80_000, False, None),
+    ("quadratic-smooth", 8, 0.5, None, 20_000, False, None),
+    ("abs-linear", 64, 0.2, None, 10_241, True, None),
+    ("sawtooth", 3, 0.0, "component-subsample", 33_000, False, None),
+    ("quadratic-smooth", 8, 0.5, None, 9_097, True, 5000),
+)
+
+
+def _blocked_key(i: int) -> str:
+    problem, d, scale, kind, n, with_y, chunk = BLOCKED_CASES[i]
+    return (f"blocked/{_label(problem, scale, kind)}/d{d}/n{n}"
+            f"{'/y' if with_y else ''}{f'/chunk{chunk}' if chunk else ''}")
+
+
+def _blocked_call(i: int, want_se: bool):
+    """_g_delta_mean on case i from a fresh stream; returns (result, next draw)."""
+    problem, d, scale, kind, n, with_y, chunk = BLOCKED_CASES[i]
+    spec = catalog_make(problem, d, scale, kind)
+    pts = substream(16, "blocked-x", i)
+    x = pts.uniform(-0.05, 0.05, d)
+    y = x + pts.uniform(-0.02, 0.02, d) if with_y else None
+    rng = substream(16, "blocked", i)
+    saved = smoothing._CHUNK
+    smoothing._CHUNK = chunk or saved
+    try:
+        res = smoothing._g_delta_mean(spec, x, 0.3, n, rng, want_se=want_se, y=y)
+    finally:
+        smoothing._CHUNK = saved
+    return res, rng.standard_normal()
+
+
+def _blocked_outputs() -> dict[str, str]:
+    out = {}
+    for i in range(len(BLOCKED_CASES)):
+        (mean, se), nxt = _blocked_call(i, want_se=True)
+        out[_blocked_key(i)] = f"{_hex(mean)}|{_hex(se)}|{_hex(nxt)}"
     return out
 
 
@@ -611,6 +657,11 @@ EXPECTED: dict[str, str] = {
     'circuit/pipeline_sample_batch/m1_62_m2_2_d3': 'int64|353|8624073a69c0787c370aa7d8b8524388fdacabad161ce2fb73c2279b387e4365|19ed9f6bd53ec93f',
     'circuit/pipeline_sample_batch/m1_63_m2_3_d2': 'object|400|24912fea63cda324802799db9fd99074128720ff01cd26bf62127cde85b942c0|5fd996d43729f6bf',
     'circuit/pipeline_sample_batch/m1_64_m2_2_d2': 'object|308|e552e63ce5be9319b52ad2899532e7d298a53055bca1782c3053e97c6b30576d|e07c2044524de8bf',
+    'blocked/abs-linear/none/d64/n80000': '853df373e322933fa104d2810757913fc2492810ea85923f93b833c531aa923f35086b2307db913f2b5b1bfa9dec913f0634d947851f923fae7c088a6b00923f8a18c41ac1e6913f0a742b71fe68913f2f36fa02837e923f11dbfee9ee85923f7840ebe9422f923f8f318c15f4a6913f76a9c29d2fa0913ff65ed8ec5a84923fc1d0d62bbb6c933f56bcb1a4b366923f91e7163674a3923fd8fff8194423933f82741941471a933f5bbda79d9dfe913fbd08498da728923fbb0f0851d903923fcc9cb60df038923f63aa4e266b5f923f2b840f295307913f63af5ec42ebe913f6c3389f01260923f9cec4342c160923fe9f1e20f4664913fffdf49b210c2923f46ee98bf94c6923fd040b6638d73923fe7abc03f7bca923f10a3453b4d53923ff377f7a8e13d923ff301f94870af923fa5ec14b208ef903f50c708effcfd913f048a16fed3d3923f4dff53c74bc4913f9e6c34afc5dc923f906a15f71ad9923f6645e247e7d5913f29280834f387923fbe33f71d7bcf903f9676002dfd1b913fc2fc29612538913fbb7c5eeb3483923f51fa43eedeef923f60dc1d84302f933f3bb711582154923fb8ae4354996e913fea9071098626923f5a322bab2c4f923fe000efa1e6fb913f3d19c12e25c5923f8713e5381670923f0d94c3ba7f8a923fb2825276df67923f818bcc88c694923f2da9e68bd4b1923f2b86f057e7bc913f|04f6a85ba9ac433f11e3648c51bc433f55603462beaf433fe425e3efea9f433f14041bf53aad433fcdcfc09b6ca5433f416ff004e4b7433fe459e47b2dac433fcae30d7f40ab433fc3581fe9a7a2433f3aac0dee6492433f7f6a733dc0ad433fb6459e342eb1433f40460ea3a1a3433f3cb97fa960a4433f6f9c44f27ebb433f81aa568883a5433fc6882502bbb3433f6fa0a0ad5fa5433f3983af6dd9b2433f93ae4f4224aa433f853a509eff97433f98db484820a7433f0390e8d17dbe433f8307e81d8fa9433fc0ede71e718f433fc0f9eda7bf94433f539db90065b9433f891c85baa799433ff0ac337e36b5433f2447410517ac433f7dc67a29aaa3433f8cbd1a66fba4433fe67ecef3d8ae433f03de125703b2433f805d06c6cfa3433f998a3730adad433f9d6562a0d89d433fd07baa027bb1433fca3560320fbc433fec89872673a7433f15090079edb1433f054b8eb916a4433f8efae6e900ad433fb5879ad116ab433fe32e6982699b433fcd2a55f45aa8433f9a0010cbceb7433fad078ff26ea8433f6fdb5c238bae433f246bba0706c8433f4f4618e3e6a0433f80442b874a96433f918e3f5350ab433ff6d28cc9bdb5433fee7db0d9f0a0433f4fe1cef24293433f51f5d85f8aa5433f2b7c85050ca1433fcf4372efb0a5433fab84ee93a3bd433f976a5ee6d1a3433fe84ebb57b6ab433f2b3dbbd9b1b3433f|bd8ca0592659f0bf',
+    'blocked/quadratic-smooth/additive-offset/d8/n20000': '3dffcd695b969d3fc3c9f2c95be9aa3ff0064e8f189690bf0c1298b34b6d97bffeab7451c6e7aebfa933eabcb844acbfb73a5d8a299ab0bf24b4b4c00701afbf|978afaa7196c6d3fa3874e28e1846d3f04a5b33da3e86d3f184c4fcf56b16d3fb5d1b8932de06d3f4357e4500bcf6d3f1fd16b2519316e3fb5ac5504e1b06d3f|bd738ab8e3c4eabf',
+    'blocked/abs-linear/additive-offset/d64/n10241/y': '27942b8ffcfaa5bf2ccd4ade32cda6bfa9ab7df2a332a8bf11c6ad61abfaa4bf12b231de64d8a3bfd22289a51ad6a3bf53dada12c02ea6bf034d8009a890a4bfab355a0dd2d1a2bf5dc2acdef747a3bf389136f9c7cba5bf11768b43617aa2bf675106e429e7a3bfca31c1489dc3a4bf2b2d331171e0a7bf555d2bc97860a5bfe6279e42eac7a7bfffda75265c55a5bf674294fef79da3bf2c30548d39caa2bf7ebcb3b7e7aea6bff5e715587cb2a4bf0a57cc51a717a6bf283eaecfc0e7a8bfa94a5f9c0f17a8bf03d7bacba06ca6bf96905f5de86aa6bfe4c24bf9d4aaa5bf687caf8aceeba3bfe2ff53ea859ba6bf16a1df82c5e0a3bf79174baed8e0a3bf235245cbd90ba4bf6fa2b6736b65a5bf500f3d051fcda3bf2cd59cdf3f7ca6bf8bb8c61fbb27a4bf47047b3a9803a5bf00ea5ce42cf4a1bf367e89a0f9f9a2bf20040b90cadea4bf121c94288318a2bf28b4c0455aa1a7bf8a07465c5658a5bfee62ad96744ca7bf3b5ba266cddca2bf4632c465ed19a3bfd52ef858cb9fa2bfbb76a4ae351ba2bf15fae007e6b9a2bf374d845abf19a5bfc395c0947614a4bf8451207a8bb9a5bfdafe661e8011a5bf361915844e9ea5bfd6662bc890d5a5bf837c14dbd865a2bf182e5696a5bea3bf6af0d427b007a7bfe3edf7801beea2bf6153e9bc41cea6bf56a2cda44c5ba4bfc8a4d4757dada4bf216fae459e44a4bf|570102f7b01d6c3f6fe7309dfa9b6c3fefa2ef92de6b6c3fd58012e82e436c3f7d0ac77f3fe66b3f8495151820536c3f6652bd54346d6c3fff1b2294ec1a6c3ff6d09cf793636c3f2bc383324fb36b3fa34d25bf03d16c3f48669c7433726c3ffb87cffcff216c3f00c6c86abc1b6c3fbea483e34f496c3fdd96e60c24096c3f82fd1d9e2b6a6c3f9074131ec2496c3fdec04cf9a0f56b3f259733287a876c3fdb5383d566656c3fb33c05ed45666c3f4ac85a0695a66c3fe24ac4e07a5a6c3fc0f85fa2045e6c3f5ad8ed1626826c3ff7566e7c28216c3f997bea07114e6c3fb550f75499016c3fc6e503daf0f86b3fbacba2a488286c3f5b7afc75682c6c3fb92e03118a606c3fd11baba296ea6b3f7e7d95d388d26b3fd89b8f370b386c3fa3bf07faadf86b3fcebbcf0c17286c3fb36ec6aad4366c3f72eb22bf51526c3f71789cf28e276c3faa1482630aea6b3f8eca286519466c3fefbcbc3feea66c3f1c6a4735e9ed6b3fda8fbfe7355d6c3ff89cdc1dd6856c3fe2d2d957a56e6c3fa4e0062391e46b3f86cb8f3a51196c3f824a447b7f7f6b3fc6a908c9d03b6c3f88ab79004ac76b3fa7e0473c3d3b6c3f65bd3be8f86b6c3f4d43f7e58c7b6c3f31aa6e40c9186c3ffd301cc54c506c3f46c8d23d187d6c3f30047cec73146c3f664d6c3388636c3f56dffc9c2d616c3f314f4df9ebe86b3f5380ba95c9fc6b3f|633cda3cdeb2ee3f',
+    'blocked/sawtooth/component-subsample/d3/n33000': '4a930e9ce3a0ab3f65b2298885efaf3f36a08f830065ba3f|044b00b16b88563f63fc540e3b76563f2eff82c1b2d2553f|a625bbd51cc50140',
+    'blocked/quadratic-smooth/additive-offset/d8/n9097/y/chunk5000': '8dba767cde68833f56931a2642b9863f90f10b63c79d993fe8eb713220d696bfde9a770b114592bf1d417580802f5f3ffe56a1fefd0e883f860612e098d69b3f|bec65d2fafba3f3f0a0c7d185fb53f3f42e1125790ea403f49b60a9a40d1403fb39ce61e6d73403fc608cfe71f6e3f3f6e3ddba259943f3f1c80aeb43934413f|90d0235b4eaff03f',
 }
 
 
@@ -619,7 +670,7 @@ def test_estimators_bit_exact():
     want = {k: v for k, v in EXPECTED.items()
             if not k.startswith(("ref/", "single/", "f_delta_mc/", "run/", "budget/", "charge/",
                                  "quantize/", "emulate/", "f_delta_closed/",
-                                 "circuit/"))}
+                                 "circuit/", "blocked/"))}
     assert len(got) == len(want) == 88
     assert {k for k in got if got[k] != want.get(k)} == set()
 
@@ -670,6 +721,38 @@ def test_circuit_sampling_bit_exact():
     assert {k for k in got if got[k] != EXPECTED.get(k)} == set()
 
 
+def test_blocked_estimator_means_bit_exact():
+    got = _blocked_outputs()
+    assert {k for k in got if got[k] != EXPECTED.get(k)} == set()
+    # without the SE the mean has the same bytes and the stream ends in the same place
+    for i in range(len(BLOCKED_CASES)):
+        mean, nxt = _blocked_call(i, want_se=False)
+        want = EXPECTED[_blocked_key(i)].split("|")
+        assert (_hex(mean), _hex(nxt)) == (want[0], want[2])
+
+
+# abs-linear at d=1000 over 4097 rows: a row count whose split across two BLAS threads
+# does not fall on the matvec kernel's 4-row groups
+_THREADS_PROBE = """
+from qzopt import catalog_make, smoothing, substream
+spec = catalog_make("abs-linear", 1000, 0.3)
+x = substream(17, "threads-x", 0).uniform(-0.05, 0.05, 1000)
+mean, se = smoothing._g_delta_mean(spec, x, 0.3, 4097, substream(17, "threads", 0), want_se=True)
+print(mean.tobytes().hex(), se.tobytes().hex())
+"""
+
+
+def test_estimator_bytes_do_not_depend_on_blas_threads():
+    src = os.path.dirname(os.path.dirname(smoothing.__file__))
+    out = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
+        proc = subprocess.run([sys.executable, "-c", _THREADS_PROBE], env=env,
+                              capture_output=True, text=True, check=True)
+        out.append(proc.stdout)
+    assert out[0] == out[1]
+
+
 class _ZeroFirstRow:
     """Generator stub: the first batch has an all-zero row 0, later batches are ones."""
 
@@ -698,7 +781,8 @@ def test_sphere_samplers_redraw_zero_rows(sampler):
 if __name__ == "__main__":
     rows = {**_estimate_outputs(), **_reference_outputs(), **_run_outputs(),
             **_budget_outputs(), **_charge_outputs(), **_quantize_outputs(),
-            **_emulate_outputs(), **_f_delta_closed_outputs(), **_circuit_outputs()}
+            **_emulate_outputs(), **_f_delta_closed_outputs(), **_circuit_outputs(),
+            **_blocked_outputs()}
     print("EXPECTED: dict[str, str] = {")
     for k, v in rows.items():
         print(f"    {k!r}: {v!r},")

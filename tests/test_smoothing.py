@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -152,6 +153,20 @@ def test_g_delta_mean_chunking(monkeypatch):
     monkeypatch.setattr(sm_mod, "_CHUNK", 17)
     mean, se = sm_mod._g_delta_mean(spec, x, 0.1, 400, substream(9, "chunk"), want_se=True)
     assert np.all(np.abs(mean - spec.direction) <= 4 * se)
+
+
+def test_g_delta_mean_peak_memory():
+    # the draws are the only chunk-sized array; the estimates are formed block by block
+    spec = catalog_make("abs-linear", 64)
+    n = 80_000
+    x = 0.03 * spec.direction
+    tracemalloc.start()
+    try:
+        sm_mod._g_delta_mean(spec, x, 0.3, n, substream(18, "peak"), want_se=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * spec.d * 8 + 4 * 2**20
 
 
 def test_f_delta_inherits_lipschitz_constant():
