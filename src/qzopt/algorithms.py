@@ -227,13 +227,9 @@ def _phi_diagnostic(
     tracing never perturbs the trajectory or the ledger.  Also returns the
     reference gradient norm at x_t.
     """
-    rng = substream(seed, "trace", t)
     if smoothing is not None:
-        if spec.has_closed_f_delta:
-            fval = f_delta(spec, x, smoothing, mode="closed")
-        else:
-            fval, _ = f_delta(spec, x, smoothing, mode="mc", n=max(2, ref_n), rng=rng)
-        ref, _ = grad_f_delta_ref(spec, x, smoothing, max(2, ref_n), rng)
+        fval = f_delta(spec, x, smoothing)
+        ref, _ = grad_f_delta_ref(spec, x, smoothing, max(2, ref_n), substream(seed, "trace", t))
     else:
         fval = float(0.5 * (x * x) @ spec.lambdas)
         ref = spec.lambdas * x

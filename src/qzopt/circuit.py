@@ -85,15 +85,14 @@ class RegisterLayout:
 class StateVector:
     """Amplitudes over the m1 + d*m2 qubit computational basis.
 
-    h_applied marks a state that went through statevector_apply_h_and_norm;
-    measurement decodes (xi, w) from each measured basis index.  _born
-    holds (amplitudes, cumulative Born probabilities) as checked there;
-    measurement uses it only while amplitudes is still that array.
+    Measurement decodes (xi, w) from each measured basis index.  _born
+    holds (amplitudes, cumulative Born probabilities) as checked by
+    statevector_apply_h_and_norm; measurement uses it only while
+    amplitudes is still that array.
     """
 
     amplitudes: np.ndarray
     layout: RegisterLayout
-    h_applied: bool = False
     _born: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False, compare=False)
 
 
@@ -205,7 +204,7 @@ def statevector_apply_h_and_norm(state: StateVector) -> StateVector:
     cum = np.cumsum(_born_probabilities(state.amplitudes))
     amps = state.amplitudes.copy()
     amps.flags.writeable = False
-    return StateVector(amplitudes=amps, layout=state.layout, h_applied=True, _born=(amps, cum))
+    return StateVector(amplitudes=amps, layout=state.layout, _born=(amps, cum))
 
 
 # ---------------------------------------------------------------------------
@@ -339,29 +338,23 @@ def _pipeline_core(
     xi: XiSample,
     wq: np.ndarray,
     frac_bits: int,
-    tape: StageTape | None,
+    tape: StageTape,
 ) -> np.ndarray:
     """Quantized diff = F(x + delta w) - F(x - delta w), scaled by d/(2 delta)."""
     q = lambda v: fixed_point_quantize(v, frac_bits)  # noqa: E731
     delta = params.delta
     xq = q(np.asarray(x, dtype=float))
-    if tape:
-        tape.note("A+")
+    tape.note("A+")
     x_plus = q(xq + delta * wq)
-    if tape:
-        tape.note("A-")
+    tape.note("A-")
     x_minus = q(xq - delta * wq)
-    if tape:
-        tape.note("U_F")
+    tape.note("U_F")
     f_plus = q(eval_F(spec, x_plus, xi))
-    if tape:
-        tape.note("U_F")
+    tape.note("U_F")
     f_minus = q(eval_F(spec, x_minus, xi))
-    if tape:
-        tape.note("sub")
+    tape.note("sub")
     diff = q(f_plus - f_minus)
-    if tape:
-        tape.note("Fmul")
+    tape.note("Fmul")
     return q(diff * (spec.d / (2.0 * delta)))
 
 
@@ -379,11 +372,11 @@ def emulate_U_g(
     Agrees with the float evaluation within
     2^(1-frac_bits) * (d / 2 delta) * (1 + ||x|| + L) per coordinate.
     """
+    tape = tape or StageTape()
     fb = layout.frac_bits
     wq = fixed_point_quantize(np.asarray(w, dtype=float), fb)
     scaled = _pipeline_core(spec, x, params, xi, wq, fb, tape)
-    if tape:
-        tape.note("mul")
+    tape.note("mul")
     return fixed_point_quantize(scaled * wq, fb)
 
 
@@ -402,13 +395,12 @@ def emulate_V_g(
     x == y gives exactly zero: both branches run the identical
     computation on identical register contents.
     """
+    tape = tape or StageTape()
     fb = layout.frac_bits
     wq = fixed_point_quantize(np.asarray(w, dtype=float), fb)
     vx = _pipeline_core(spec, x, params, xi, wq, fb, tape)
     vy = _pipeline_core(spec, y, params, xi, wq, fb, tape)
-    if tape:
-        tape.note("sub")
+    tape.note("sub")
     diff = fixed_point_quantize(vx - vy, fb)
-    if tape:
-        tape.note("mul")
+    tape.note("mul")
     return fixed_point_quantize(diff * wq, fb)

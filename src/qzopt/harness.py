@@ -35,6 +35,7 @@ from .algorithms import (
 from .objectives import CATALOG_NAMES, ObjectiveSpec, catalog_make
 from .oracles import CostModel
 from .smoothing import SmoothingParams
+from .stationarity import _interval_verdict
 
 __all__ = [
     "ALGORITHMS",
@@ -254,12 +255,7 @@ def build_spec(config: ExperimentConfig) -> ObjectiveSpec:
 def _verdict(result: RunResult, eps: float) -> str:
     if result.budget_exceeded:
         return "budget_exceeded"
-    r = result.residual
-    if r.estimate + r.half_width <= eps:
-        return "accepted"
-    if r.estimate - r.half_width > eps:
-        return "rejected"
-    return "inconclusive"
+    return _interval_verdict(result.residual, eps)
 
 
 def run_one(config: ExperimentConfig, spec: ObjectiveSpec, eps: float, seed: int) -> RunRow:

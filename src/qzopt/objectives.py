@@ -110,7 +110,6 @@ class ObjectiveSpec:
     noise_scale: float
     f_star: float
     delta_0: float  # f(x0) - f_star for the canonical start point
-    has_closed_f_delta: bool
     x0: np.ndarray
     smooth_params: tuple[float, float] | None = None  # (l, sigma), smooth track only
     direction: np.ndarray | None = None  # abs-linear
@@ -167,7 +166,6 @@ def catalog_make(
             noise_scale=noise_scale,
             f_star=0.0,
             delta_0=0.0,
-            has_closed_f_delta=True,
             x0=np.zeros(d),
             est_var_coeff=1.0,
             diff_var_coeff=1.0 / d,
@@ -193,7 +191,6 @@ def catalog_make(
             noise_scale=noise_scale,
             f_star=0.0,
             delta_0=float(abs(a @ x0)),
-            has_closed_f_delta=True,
             x0=x0,
             direction=a,
             est_var_coeff=1.0,
@@ -211,7 +208,6 @@ def catalog_make(
             noise_scale=noise_scale,
             f_star=0.0,
             delta_0=0.5 * math.sqrt(d),
-            has_closed_f_delta=True,
             x0=x0,
             est_var_coeff=1.0,
             diff_var_coeff=1.0 / d,
@@ -231,7 +227,6 @@ def catalog_make(
             noise_scale=noise_scale,
             f_star=0.0,
             delta_0=float(lam.mean() / 2.0),
-            has_closed_f_delta=True,
             x0=x0,
             smooth_params=(lmax, noise_scale),
             lambdas=lam,

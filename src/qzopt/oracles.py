@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .objectives import ObjectiveSpec, _sample_xi_batch
+from .objectives import ObjectiveSpec, _check_point, _sample_xi_batch
 from .smoothing import SmoothingParams, _g_delta_mean, _g_delta_rows, _sphere_batch
 
 __all__ = [
@@ -80,7 +80,7 @@ class CostModel:
 
 @dataclass
 class QueryLedger:
-    """Monotone query counters, mergeable across runs.
+    """Monotone query counters.
 
     phase_tags holds per-phase subtotals as (uf, classical, grad) tuples.
     """
@@ -100,28 +100,11 @@ class QueryLedger:
             prev = self.phase_tags.get(phase, (0, 0, 0))
             self.phase_tags[phase] = (prev[0] + uf, prev[1] + classical, prev[2] + grad)
 
-    def merged(self, other: "QueryLedger") -> "QueryLedger":
-        tags = dict(self.phase_tags)
-        for k, v in other.phase_tags.items():
-            prev = tags.get(k, (0, 0, 0))
-            tags[k] = (prev[0] + v[0], prev[1] + v[1], prev[2] + v[2])
-        return QueryLedger(
-            uf_queries=self.uf_queries + other.uf_queries,
-            classical_queries=self.classical_queries + other.classical_queries,
-            grad_oracle_queries=self.grad_oracle_queries + other.grad_oracle_queries,
-            phase_tags=tags,
-        )
-
-    def __add__(self, other: "QueryLedger") -> "QueryLedger":
-        return self.merged(other)
-
 
 @dataclass
 class GradEstimate:
     value: np.ndarray
-    target_variance: float
     queries_charged: int
-    kind: str
 
 
 # ---------------------------------------------------------------------------
@@ -139,9 +122,10 @@ def o_g_delta(
 ) -> np.ndarray:
     """One two-point draw; costs exactly 2 queries."""
     model = model or CostModel()
+    x = _check_point(spec, x)
     W = _sphere_batch(spec.d, 1, rng)
     payload = _sample_xi_batch(spec, 1, rng)
-    g = _g_delta_rows(spec, np.asarray(x, dtype=float), params.delta, W, payload)[0]
+    g = _g_delta_rows(spec, x, params.delta, W, payload)[0]
     _charge(ledger, model, phase, 2, 2)
     return g
 
@@ -158,10 +142,10 @@ def o_delta_g(
 ) -> np.ndarray:
     """One shared-draw difference g_delta(x;w,xi) - g_delta(y;w,xi); 4 queries."""
     model = model or CostModel()
+    x = _check_point(spec, x)
+    y = _check_point(spec, y)
     W = _sphere_batch(spec.d, 1, rng)
     payload = _sample_xi_batch(spec, 1, rng)
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
     gx = _g_delta_rows(spec, x, params.delta, W, payload)[0]
     gy = _g_delta_rows(spec, y, params.delta, W, payload)[0]
     _charge(ledger, model, phase, 4, 4)
@@ -203,16 +187,12 @@ def quantum_mean_cost(
     d: int,
     sigma_hat: float,
     model: CostModel,
-    d_mult: int = 1,
 ) -> int:
     """Oracle queries to estimate a d-dimensional mean to accuracy sigma_hat.
 
     L_hat bounds the per-sample deviation norm.  Quantum mode follows the
     mean-estimation rate sqrt(d) * L_hat / sigma_hat; classical mode is
-    the batch size L_hat^2 * d_mult / sigma_hat^2 (d_mult keeps the
-    multiplicity explicit for conventions where L_hat is per-coordinate;
-    the estimators in this module fold all dimension dependence into
-    L_hat and use d_mult = 1).
+    the batch size L_hat^2 / sigma_hat^2.
     """
     if sigma_hat <= 0:
         raise ValueError("sigma_hat must be positive")
@@ -221,9 +201,14 @@ def quantum_mean_cost(
     if L_hat < 0:
         raise ValueError("L_hat must be non-negative")
     if model.mode == "quantum":
-        raw = model.c_q * math.sqrt(d) * L_hat / sigma_hat
-        return max(1, math.ceil(raw)) * model.log_multiplier(sigma_hat)
-    return max(1, math.ceil(L_hat * L_hat * d_mult / (sigma_hat * sigma_hat)))
+        return _quantum_count(model, model.c_q * math.sqrt(d) * L_hat / sigma_hat, sigma_hat)
+    return max(1, math.ceil(L_hat * L_hat / (sigma_hat * sigma_hat)))
+
+
+def _quantum_count(model: CostModel, raw: float, sigma_hat: float) -> int:
+    """The quantum charge for a rate of raw queries: at least one, rounded
+    up, times the log factor."""
+    return max(1, math.ceil(raw)) * model.log_multiplier(sigma_hat)
 
 
 # ---------------------------------------------------------------------------
@@ -254,15 +239,13 @@ def estimate_grad(
     2 * max(1, ceil(c_q * d * L / sigma_hat)); classical charge 2n.
     """
     sigma_hat = _check_sigma(sigma_hat)
-    x = np.asarray(x, dtype=float)
-    if x.shape != (spec.d,):
-        raise ValueError(f"point must have shape ({spec.d},)")
+    x = _check_point(spec, x)
     d, L = spec.d, spec.L
     n = max(1, math.ceil(spec.est_var_coeff * d * L * L / (sigma_hat * sigma_hat)))
     value = _g_delta_mean(spec, x, params.delta, n, rng)
     charged = _charge(ledger, model, phase,
                       2 * quantum_mean_cost(math.sqrt(d) * L, d, sigma_hat, model), 2 * n)
-    return GradEstimate(value, sigma_hat * sigma_hat, charged, "grad")
+    return GradEstimate(value, charged)
 
 
 def estimate_grad_diff(
@@ -282,12 +265,10 @@ def estimate_grad_diff(
     ||x - y||.  x == y is degenerate: the exact zero vector is returned
     and nothing is charged.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != (spec.d,) or y.shape != (spec.d,):
-        raise ValueError(f"points must have shape ({spec.d},)")
+    x = _check_point(spec, x)
+    y = _check_point(spec, y)
     if not np.count_nonzero(x != y):  # x == y
-        return GradEstimate(np.zeros(spec.d), 0.0, 0, "grad-diff")
+        return GradEstimate(np.zeros(spec.d), 0)
     sigma_hat = _check_sigma(sigma_hat)
     d, L, delta = spec.d, spec.L, params.delta
     v = x - y
@@ -300,9 +281,8 @@ def estimate_grad_diff(
     )
     value = _g_delta_mean(spec, x, delta, n, rng, y=y)
     raw = model.c_q * d ** 1.5 * L * dist / (sigma_hat * delta)
-    charged = _charge(ledger, model, phase,
-                      4 * max(1, math.ceil(raw)) * model.log_multiplier(sigma_hat), 4 * n)
-    return GradEstimate(value, sigma_hat * sigma_hat, charged, "grad-diff")
+    charged = _charge(ledger, model, phase, 4 * _quantum_count(model, raw, sigma_hat), 4 * n)
+    return GradEstimate(value, charged)
 
 
 def estimate_sgrad(
@@ -318,9 +298,7 @@ def estimate_sgrad(
     if spec.smooth_params is None:
         raise ValueError(f"{spec.name!r} exposes no smooth gradient oracle")
     sigma_hat = _check_sigma(sigma_hat)
-    x = np.asarray(x, dtype=float)
-    if x.shape != (spec.d,):
-        raise ValueError(f"point must have shape ({spec.d},)")
+    x = _check_point(spec, x)
     _, sigma = spec.smooth_params
     n = max(1, math.ceil(sigma * sigma / (sigma_hat * sigma_hat)))
     value = spec.lambdas * x
@@ -328,9 +306,8 @@ def estimate_sgrad(
         payload = _sample_xi_batch(spec, n, rng)
         value = value + np.add.reduce(payload, axis=0) / n
     raw = model.c_q * math.sqrt(spec.d) * sigma / sigma_hat
-    charged = _charge(ledger, model, phase,
-                      max(1, math.ceil(raw)) * model.log_multiplier(sigma_hat), n, grad=True)
-    return GradEstimate(value, sigma_hat * sigma_hat, charged, "sgrad")
+    charged = _charge(ledger, model, phase, _quantum_count(model, raw, sigma_hat), n, grad=True)
+    return GradEstimate(value, charged)
 
 
 def estimate_sgrad_diff(
@@ -351,19 +328,16 @@ def estimate_sgrad_diff(
     """
     if spec.smooth_params is None:
         raise ValueError(f"{spec.name!r} exposes no smooth gradient oracle")
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != (spec.d,) or y.shape != (spec.d,):
-        raise ValueError(f"points must have shape ({spec.d},)")
+    x = _check_point(spec, x)
+    y = _check_point(spec, y)
     if not np.count_nonzero(x != y):  # x == y
-        return GradEstimate(np.zeros(spec.d), 0.0, 0, "sgrad-diff")
+        return GradEstimate(np.zeros(spec.d), 0)
     sigma_hat = _check_sigma(sigma_hat)
     l, _ = spec.smooth_params
     v = x - y
     dist = math.sqrt(v.dot(v))
     value = spec.lambdas * v
     raw = model.c_q * math.sqrt(spec.d) * l * dist / sigma_hat
-    charged = _charge(ledger, model, phase,
-                      max(1, math.ceil(raw)) * model.log_multiplier(sigma_hat),
+    charged = _charge(ledger, model, phase, _quantum_count(model, raw, sigma_hat),
                       max(1, math.ceil(l * l * dist * dist / (sigma_hat * sigma_hat))), grad=True)
-    return GradEstimate(value, sigma_hat * sigma_hat, charged, "sgrad-diff")
+    return GradEstimate(value, charged)

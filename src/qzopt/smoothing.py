@@ -18,8 +18,7 @@ d * L^2 (see ObjectiveSpec's variance certificates).
 Directions are plain unit ndarrays.  f_delta can be evaluated in
 "closed" mode (exact for every catalog problem: analytic where possible,
 deterministic quadrature against the ball's one-dimensional marginal for
-the kinked problems) or in "mc" mode (ball-sampling mean with a standard
-error).
+the sawtooth) or in "mc" mode (ball-sampling mean with a standard error).
 """
 from __future__ import annotations
 
@@ -216,17 +215,9 @@ def _ball_marginal_norm(d: int) -> float:
     return float(special.beta(0.5, (d + 1) / 2.0))
 
 
-def _expect_ball_marginal(integrand, d: int, kinks: list[float]) -> float:
-    """E[fun(t)] for t distributed as one coordinate of a uniform ball point.
-
-    integrand(t) returns fun(t) * (1 - t*t) ** ((d - 1) / 2.0), the
-    marginal's unnormalized density folded in; kinks lie inside (-1, 1).
-    """
-    val, _ = integrate.quad(integrand, -1.0, 1.0, points=kinks or None, limit=200)
-    return val / _ball_marginal_norm(d)
-
-
 def _sawtooth_coord_smoothed(xi: float, delta: float, d: int) -> float:
+    """E[dist(xi + delta t, Z)] for t distributed as one coordinate of a
+    uniform ball point, by quadrature against that marginal's density."""
     # kinks of dist(. , Z) sit on the half-integer lattice
     lo = math.floor((xi - delta) * 2.0)
     hi = math.ceil((xi + delta) * 2.0)
@@ -237,7 +228,8 @@ def _sawtooth_coord_smoothed(xi: float, delta: float, d: int) -> float:
         u = xi + delta * t
         return abs(u - round(u)) * (1.0 - t * t) ** e
 
-    return _expect_ball_marginal(integrand, d, kinks)
+    val, _ = integrate.quad(integrand, -1.0, 1.0, points=kinks or None, limit=200)
+    return val / _ball_marginal_norm(d)
 
 
 def f_delta(
@@ -257,8 +249,6 @@ def f_delta(
     x = _finite_point(spec, x)
     delta = params.delta
     if mode == "closed":
-        if not spec.has_closed_f_delta:
-            raise ValueError(f"{spec.name!r} has no closed-form surrogate")
         if spec.name == "constant":
             return 0.0
         if spec.name == "quadratic-smooth":
@@ -268,9 +258,12 @@ def f_delta(
             c = float(spec.direction @ x)
             if abs(c) >= delta:
                 return abs(c)
-            e = (spec.d - 1) / 2.0
-            return _expect_ball_marginal(lambda t: abs(c + delta * t) * (1.0 - t * t) ** e,
-                                         spec.d, [-c / delta])
+            # E|c + delta t| with t one coordinate of a uniform ball point:
+            # t^2 is Beta(1/2, a)-distributed, a = (d + 1) / 2
+            a = (spec.d + 1) / 2.0
+            s = (c / delta) ** 2
+            return (abs(c) * float(special.betainc(0.5, a, s))
+                    + 2.0 * delta * (1.0 - s) ** a / ((spec.d + 1) * _ball_marginal_norm(spec.d)))
         # sawtooth: expectation splits per coordinate; each coordinate of a
         # uniform ball point has the same one-dimensional marginal.
         total = sum(_sawtooth_coord_smoothed(float(v), delta, spec.d) for v in x)

@@ -96,14 +96,21 @@ def verify_stationary(
         raise ValueError("eps must be positive")
     n = max(2, int(n0))
     while True:
-        report = goldstein_residual(spec, x, params, n, confidence, rng)
-        if report.estimate + report.half_width <= eps:
-            return "accepted"
-        if report.estimate - report.half_width > eps:
-            return "rejected"
-        if n >= VERIFY_N_CAP:
-            return "inconclusive"
+        verdict = _interval_verdict(goldstein_residual(spec, x, params, n, confidence, rng), eps)
+        if verdict != "inconclusive" or n >= VERIFY_N_CAP:
+            return verdict
         n = min(2 * n, VERIFY_N_CAP)
+
+
+def _interval_verdict(report: ResidualReport, eps: float) -> str:
+    """The report's interval against eps: "accepted" when estimate +
+    half_width <= eps, "rejected" when estimate - half_width > eps, else
+    "inconclusive"."""
+    if report.estimate + report.half_width <= eps:
+        return "accepted"
+    if report.estimate - report.half_width > eps:
+        return "rejected"
+    return "inconclusive"
 
 
 def exact_goldstein_distance(spec: ObjectiveSpec, x: np.ndarray, delta: float) -> float | None:

@@ -146,7 +146,7 @@ def test_measure_sample_reuses_checked_distribution_only_for_its_amplitudes():
     with pytest.raises(ValueError):
         st.amplitudes[0] = 1.0
     # a rebuilt state with the same amplitudes recomputes the distribution: same draws
-    plain = qz.StateVector(amplitudes=st.amplitudes, layout=st.layout, h_applied=True)
+    plain = qz.StateVector(amplitudes=st.amplitudes, layout=st.layout)
     a = qz.measure_sample_batch(st, 200, substream(2, "reuse"))
     b = qz.measure_sample_batch(plain, 200, substream(2, "reuse"))
     assert all(np.array_equal(u, v, equal_nan=True) for u, v in zip(a, b))
@@ -259,7 +259,6 @@ def test_statevector_norm_preserved():
         assert abs(np.sum(np.abs(st.amplitudes) ** 2) - 1.0) <= 1e-10
         st2 = qz.statevector_apply_h_and_norm(st)
         assert abs(np.sum(np.abs(st2.amplitudes) ** 2) - 1.0) <= 1e-10
-        assert st2.h_applied
 
 
 def test_h_values_approach_gaussian_at_wide_registers():

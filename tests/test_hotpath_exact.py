@@ -609,29 +609,29 @@ EXPECTED: dict[str, str] = {
     'emulate/quadratic-smooth/additive-offset/fb8': '0000000000a0e73f0000000000c0d03f000000000000b8bf000000000000008000000000000000800000000000000000000000000000008000000000000000800000000000000000000000000000b0bf000000000000ce3f000000000060f13f000000000000000000000000000070bf0000000000009cbf000000000000000000000000000000800000000000000080000000000040ed3f0000000000d0f2bf000000000000a8bf000000000000b2bf000000000000b83f000000000000703f000000000000000000000000000000800000000000000080000000000040d2bf000000000000d53f000000000000c63f000000000000a2bf000000000000a63f000000000000983f0000000000000080000000000000000000000000000000000000000000c0fc3f00000000000094bf000000000040d03f000000000000aebf000000000000000000000000000080bf0000000000000000000000000000008000000000000000000000000000c0d8bf000000000080d7bf0000000000c0d33f000000000000a23f000000000000a03f0000000000009cbf000000000000008000000000000000800000000000000000|A+,A-,U_F,U_F,sub,Fmul,mul,A+,A-,U_F,U_F,sub,Fmul,mul,A+,A-,U_F,U_F,sub,Fmul,mul,A+,A-,U_F,U_F,sub,Fmul,mul,A+,A-,U_F,U_F,sub,Fmul,mul,A+,A-,U_F,U_F,sub,Fmul,mul|12|A+,A-,U_F,U_F,sub,Fmul,A+,A-,U_F,U_F,sub,Fmul,sub,mul,A+,A-,U_F,U_F,sub,Fmul,A+,A-,U_F,U_F,sub,Fmul,sub,mul,A+,A-,U_F,U_F,sub,Fmul,A+,A-,U_F,U_F,sub,Fmul,sub,mul,A+,A-,U_F,U_F,sub,Fmul,A+,A-,U_F,U_F,sub,Fmul,sub,mul,A+,A-,U_F,U_F,sub,Fmul,A+,A-,U_F,U_F,sub,Fmul,sub,mul,A+,A-,U_F,U_F,sub,Fmul,A+,A-,U_F,U_F,sub,Fmul,sub,mul|24',
     'emulate/quadratic-smooth/additive-offset/fb32': '0000e0bed0f2e73f0000802a8305d13f000000e267b8b7bf00000000c0323e3f00000000ac76253f0000000018e90dbf0000000000000080000000000000008000000000000000000000007c9faeafbf000080f07f85ce3f000060bbafbbf13f000000c06538563f00000080026875bf000000f8d4df98bf0000000000000000000000000000008000000000000000800000007dc5d7ed3f0000a020f020f3bf000000640bf6a7bf000000c4cc85aebf000000977c90b33f00000000c681683f0000000000000000000000000000008000000000000000800000802a47d1d1bf0000c0999791d43f000080673b5bc53f000000ae38b2a6bf0000000e6333aa3f0000001c3d349b3f000000000000008000000000000000000000000000000000000010e9b6a4fc3f00000040368592bf0000c06bbb57d03f000000906e7ba7bf00000000c95d3e3f000000e0bacb7abf0000000000000000000000000000008000000000000000000000809ef977d8bf0000000d9c3dd7bf0000c0d5896ed33f0000001a50f7a13f000000967d10a13f000000b017899cbf000000000000008000000000000000800000000000000000|A+,A-,U_F,U_F,sub,Fmul,mul,A+,A-,U_F,U_F,sub,Fmul,mul,A+,A-,U_F,U_F,sub,Fmul,mul,A+,A-,U_F,U_F,sub,Fmul,mul,A+,A-,U_F,U_F,sub,Fmul,mul,A+,A-,U_F,U_F,sub,Fmul,mul|12|A+,A-,U_F,U_F,sub,Fmul,A+,A-,U_F,U_F,sub,Fmul,sub,mul,A+,A-,U_F,U_F,sub,Fmul,A+,A-,U_F,U_F,sub,Fmul,sub,mul,A+,A-,U_F,U_F,sub,Fmul,A+,A-,U_F,U_F,sub,Fmul,sub,mul,A+,A-,U_F,U_F,sub,Fmul,A+,A-,U_F,U_F,sub,Fmul,sub,mul,A+,A-,U_F,U_F,sub,Fmul,A+,A-,U_F,U_F,sub,Fmul,sub,mul,A+,A-,U_F,U_F,sub,Fmul,A+,A-,U_F,U_F,sub,Fmul,sub,mul|24',
     'f_delta_closed/sawtooth/d1/delta0.1': '9c9999999999a93f9b9999999999a93f9b9999999999a93fcdccccccccccdc3fccccccccccccdc3f9b9999999999a93f9b9999999999a93f9c9999999999a93f9c9999999999a93faf47e17a14aed73f51b81e85eb51c83f313333333333d33f313333333333d33ff753e3a59bc4dc3f9c9999999999a93f',
-    'f_delta_closed/abs-linear/d1/delta0.1': '9c9999999999a93f353333333333ab3f9cc420b07268b13f9a9999999999b93f9a9999999999b93f9a9999999999b93f343333333333c33f00000000000008409c9999999999a93f',
+    'f_delta_closed/abs-linear/d1/delta0.1': '9b9999999999a93f343333333333ab3f9cc420b07268b13f999999999999b93f9a9999999999b93f9a9999999999b93f343333333333c33f00000000000008409b9999999999a93f',
     'f_delta_closed/sawtooth/d1/delta0.3': '343333333333c33f353333333333c33f333333333333c33f676666666666d63f686666666666d63f343333333333c33f343333333333c33f343333333333c33f343333333333c33f347a5bd6ea98d43f1a7605c8bde6ca3f212222222222d23f212222222222d23fcee86d59ab63d63f343333333333c33f',
-    'f_delta_closed/abs-linear/d1/delta0.3': '343333333333c33f676666666666c43feb263108ac1cca3f333333333333d33f333333333333d33f333333333333d33fccccccccccccdc3f0000000000000840343333333333c33f',
+    'f_delta_closed/abs-linear/d1/delta0.3': '343333333333c33f676666666666c43fea263108ac1cca3f323333333333d33f333333333333d33f333333333333d33fccccccccccccdc3f0000000000000840343333333333c33f',
     'f_delta_closed/sawtooth/d1/delta0.7': 'e32bbee22bbed23fe32bbee22bbed23fe32bbee22bbed23f3ba8833aa883ca3f3ba8833aa883ca3fe42bbee22bbed23fe42bbee22bbed23fe32bbee22bbed23fe32bbee22bbed23fd5bbfab5360fcc3f2042dac2b217d13fc1e22bbee22bce3fbfe22bbee22bce3fe713346aff85ca3fe32bbee22bbed23f',
-    'f_delta_closed/abs-linear/d1/delta0.7': '676666666666d63fcdccccccccccd73f135839b4c876de3f676666666666e63f666666666666e63f666666666666e63fccccccccccccf03f0000000000000840676666666666d63f',
+    'f_delta_closed/abs-linear/d1/delta0.7': '676666666666d63fceccccccccccd73f105839b4c876de3f656666666666e63f666666666666e63f666666666666e63fccccccccccccf03f0000000000000840676666666666d63f',
     'f_delta_closed/sawtooth/d2/delta0.1': '9728dc8115bbae3f9328dc8115bbae3f9328dc8115bbae3f4779610eedb4e43f4779610eedb4e43f9b28dc8115bbae3f9b28dc8115bbae3f9728dc8115bbae3f9728dc8115bbae3fd56e3fb289bee03feb6a7fe76332d13f9114ff7a2427db3f9114ff7a2427db3f0c06f0878eade43f9628dc8115bbae3f',
-    'f_delta_closed/abs-linear/d2/delta0.1': '5b5ef952debaa53f78dd4b63a7c1a73fa8846f588b8cb03f2b081b12a899b93fc51290999999b93fc51290999999b93f333333333333c33fffffffffffff07405b5ef952debaa53f',
+    'f_delta_closed/abs-linear/d2/delta0.1': '6b5ef952debaa53f89dd4b63a7c1a73fb6846f588b8cb03f979999999999b93f999999999999b93f999999999999b93f333333333333c33fffffffffffff07406b5ef952debaa53f',
     'f_delta_closed/sawtooth/d2/delta0.3': '7a1e6521500cc73f771e6521500cc73f751e6521500cc73f31f4255e8adde03f31f4255e8adde03f771e6521500cc73f771e6521500cc73f7a1e6521500cc73f7a1e6521500cc73fcf1c51746189de3ff6b7a8932637d23f3f922d98dc58da3f3f922d98dc58da3f3d0a300f15dbe03f781e6521500cc73f',
-    'f_delta_closed/abs-linear/d2/delta0.3': 'ca063bbe264cc03f1ae6788a3dd1c13ffc46a704d1d2c83f2046940d3e33d33faa472d333333d33faa472d333333d33fcaccccccccccdc3fffffffffffff0740ca063bbe264cc03f',
+    'f_delta_closed/abs-linear/d2/delta0.3': 'd0063bbe264cc03f26e6788a3dd1c13f1147a704d1d2c83f313333333333d33f323333333333d33f323333333333d33fcaccccccccccdc3fffffffffffff0740d0063bbe264cc03f',
     'f_delta_closed/sawtooth/d2/delta0.7': 'b4dc7eeb4851d83fb4dc7eeb4851d83fb4dc7eeb4851d83fed9a7fe1f3efd43fed9a7fe1f3efd43fb5dc7eeb4851d83fb4dc7eeb4851d83fb4dc7eeb4851d83fb4dc7eeb4851d83f184921710e79d53fe45136d7613bd73ffb62e20bea1fd63ffc62e20bea1fd63f7c214a76cbf0d43fb4dc7eeb4851d83f',
-    'f_delta_closed/abs-linear/d2/delta0.7': '91329a888203d33fc961e27672c9d43f2228c3daf3f5dc3f25a7d70f7366e63f3a7e5f666666e63f3a7e5f666666e63fcbccccccccccf03fffffffffffff074091329a888203d33f',
+    'f_delta_closed/abs-linear/d2/delta0.7': '9d329a888203d33fd761e27672c9d43f3e28c3daf3f5dc3f646666666666e63f656666666666e63f656666666666e63fcbccccccccccf03fffffffffffff07409d329a888203d33f',
     'f_delta_closed/sawtooth/d4/delta0.1': 'e1c283754b62b13fe1c283754b62b13fdec283754b62b13f2c004c91b6d3ed3f2c004c91b6d3ed3fe3c283754b62b13fe3c283754b62b13fe1c283754b62b13fe1c283754b62b13f63eddf7a14aee73f3dcc1b85eb51d83f876630333333e33f876630333333e33f801f3339d7c5ed3fa0b4ae6e492cd23f',
-    'f_delta_closed/abs-linear/d4/delta0.1': 'e1c283754b62a13fd6ac344cdb0ea43ff444b83e85acaf3f09428e999999b93f9a9999999999b93f9a9999999999b93f343333333333c33f0000000000000840e1c283754b62a13f',
+    'f_delta_closed/abs-linear/d4/delta0.1': '884b94754b62a13f03bf494cdb0ea43f5c88ca3e85acaf3f999999999999b93f9a9999999999b93f9a9999999999b93f343333333333c33f0000000000000840884b94754b62a13f',
     'f_delta_closed/sawtooth/d4/delta0.3': '720e5a307113ca3f730e5a307113ca3f720e5a307113ca3f4cf4e5b3237be93f4df4e5b3237be93f730e5a307113ca3f730e5a307113ca3f720e5a307113ca3f720e5a307113ca3fabf54507c78fe63f9151aef114dbd83f304cb4275101e33f304cb4275101e33ff2a17d498176e93f91bf144cdc84d63f',
-    'f_delta_closed/abs-linear/d4/delta0.3': '720e5a307113ba3fb34c65f24816be3fd67915ef63c1c73fcbe631333333d33f333333333333d33f333333333333d33fccccccccccccdc3f0000000000000840720e5a307113ba3f',
+    'f_delta_closed/abs-linear/d4/delta0.3': '4c715e307113ba3f839e6ef24816be3f44e617ef63c1c73f323333333333d33f333333333333d33f333333333333d33fccccccccccccdc3f00000000000008404c715e307113ba3f',
     'f_delta_closed/sawtooth/d4/delta0.7': '416b4bb8a956dd3f416b4bb8a956dd3f3f6b4bb8a956dd3ff6bcd723ab54e13ff6bcd723ab54e13f416b4bb8a956dd3f416b4bb8a956dd3f416b4bb8a956dd3f416b4bb8a956dd3f574137b546eee03f833cf4fd3ffbde3f640b88e3ae6de03f640b88e3ae6de03fbe935d3f0b54e13feb6e24dc54abde3f',
-    'f_delta_closed/abs-linear/d4/delta0.7': '2f66be0d046cce3f0891bfe2ff8cd13f7963ee96f4b6db3f99e264666666e63f666666666666e63f666666666666e63fccccccccccccf03f00000000000008402f66be0d046cce3f',
+    'f_delta_closed/abs-linear/d4/delta0.7': '2d84c30d046cce3f2287c0e2ff8cd13f5037f196f4b6db3f656666666666e63f666666666666e63f666666666666e63fccccccccccccf03f00000000000008402d84c30d046cce3f',
     'f_delta_closed/sawtooth/d8/delta0.1': '5d9bf1cd2cbbb23f609bf1cd2cbbb23f5c9bf1cd2cbbb23f83eba099eb74f53f84eba099eb74f53f5c9bf1cd2cbbb23f5c9bf1cd2cbbb23f5d9bf1cd2cbbb23f5d9bf1cd2cbbb23fdd0340b289bef03ff70380e76332e13f4106007b2427eb3f4106007b2427eb3fd329081d8367f53fa5383e0004f8d83f',
-    'f_delta_closed/abs-linear/d8/delta0.1': 'bb4890cb667d9a3f985efcc5a2d6a03fc2498f624eeeae3f7b7d9a999999b93f7f7d9a999999b93f7f7d9a999999b93f333333333333c33fffffffffffff0740bb4890cb667d9a3f',
+    'f_delta_closed/abs-linear/d8/delta0.1': 'dca38ccb667d9a3f4e0bf9c5a2d6a03fd3e682624eeeae3f979999999999b93f999999999999b93f999999999999b93f333333333333c33fffffffffffff0740dca38ccb667d9a3f',
     'f_delta_closed/sawtooth/d8/delta0.3': '0c69ea34c318cc3f0e69ea34c318cc3f0e69ea34c318cc3f18b8e2ff851df33f18b8e2ff851df33f0c69ea34c318cc3f0c69ea34c318cc3f0c69ea34c318cc3f0c69ea34c318cc3fb2ab8cb59471f03fef5f7663f444e13f23823bc1a51beb3f23823bc1a51beb3f0a582ee70719f33f7e9fba33cfa6dd3f',
-    'f_delta_closed/abs-linear/d8/delta0.3': '8c36ac180ddeb33fe18dfa28f441b93fc292e2c9ba32c73f1bde33333333d33f1bde33333333d33f74ed42333333d33fcaccccccccccdc3fffffffffffff07408c36ac180ddeb33f',
+    'f_delta_closed/abs-linear/d8/delta0.3': 'e47aa9180ddeb33ff390f528f441b93f1e2de2c9ba32c73f313333333333d33f313333333333d33f313333333333d33fcaccccccccccdc3fffffffffffff0740e47aa9180ddeb33f',
     'f_delta_closed/sawtooth/d8/delta0.7': '578f795e4c4be03f578f795e4c4be03f578f795e4c4be03fa7e9846ef0f5ec3fa7e9846ef0f5ec3f588f795e4c4be03f588f795e4c4be03f578f795e4c4be03f578f795e4c4be03f0b900bb698f4ea3fe6ce87db824de43fdc5bc3ba1894e83fdd5bc3ba1894e83fd4314e84b8f2ec3feb657c62f575e33f',
-    'f_delta_closed/abs-linear/d8/delta0.7': 'a43f1ef2b92dc73f89a579da9c77cd3f8b0033968410db3fcc2d67666666e63f666666666666e63f666666666666e63fcbccccccccccf03fffffffffffff0740a43f1ef2b92dc73f',
+    'f_delta_closed/abs-linear/d8/delta0.7': '5f0f1bf2b92dc73fc8d373da9c77cd3ff88932968410db3f656666666666e63f666666666666e63f666666666666e63fcbccccccccccf03fffffffffffff07405f0f1bf2b92dc73f',
     'circuit/measure_sample/m1_1_m2_2_d2': '212|9deacf1ff3e021e83245266d739b5734364a7d588e9af37b47cdc20d299d040e|e8c0ae418d18c4bf',
     'circuit/measure_sample_batch/m1_1_m2_2_d2': '372|6a962d5b0626c1d21ab3cb55dceac21bf6bce7024203976329107630df227f50|87dece6e49bef2bf',
     'circuit/pipeline_sample/m1_1_m2_2_d2/resampleFalse': '237,0|cc50b2d0e1d4111d1c67c9b760763c62abdc87ff1f6911327dfc2b96d5209fce|1725110528fce1bf',
@@ -707,7 +707,6 @@ def test_emulation_bit_exact():
 
 
 # a kink within an ulp of the ball's edge makes quad warn; the value is still pinned
-@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
 def test_f_delta_closed_bit_exact():
     got = _f_delta_closed_outputs()
     assert {k for k in got if got[k] != EXPECTED.get(k)} == set()

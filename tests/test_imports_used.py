@@ -91,3 +91,55 @@ def test_scan_finds_an_unbound_export():
 @pytest.mark.parametrize("path", ALL_FILES, ids=[p.name for p in ALL_FILES])
 def test_module_exports_are_bound(path):
     assert unbound_exports(path.read_text()) == []
+
+
+def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
+    """Module-level private names (one leading underscore) that no code in
+    ``sources`` (module name -> text) refers to outside their own definition.
+
+    A reference is a loaded name, an attribute or an imported name; a
+    function that only calls itself counts as unreferenced.
+    """
+    trees = {mod: ast.parse(text) for mod, text in sources.items()}
+    defined = []
+    for mod, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            defined += [(mod, name, node) for name in names
+                        if name.startswith("_") and not name.startswith("__")]
+
+    def refs(skip):
+        for tree in trees.values():
+            for top in tree.body:
+                if top is skip:
+                    continue
+                for node in ast.walk(top):
+                    if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                        yield node.id
+                    elif isinstance(node, ast.Attribute):
+                        yield node.attr
+                    elif isinstance(node, ast.ImportFrom):
+                        yield from (alias.name for alias in node.names)
+
+    return [f"{mod}.{name} (line {node.lineno})" for mod, name, node in defined
+            if name not in set(refs(node))]
+
+
+def test_scan_finds_an_unreferenced_private_name():
+    sources = {
+        "a": "_USED = 1\n_STALE = 2\n\ndef _loop(n):\n    return _loop(n - 1)\n\n"
+             "def f():\n    return _USED\n",
+        "b": "from .a import _helper\n\ndef g(m):\n    return m._attr()\n",
+        "c": "def _helper(): ...\n\ndef _attr(): ...\n",
+    }
+    assert unreferenced_private_names(sources) == ["a._STALE (line 2)", "a._loop (line 4)"]
+
+
+def test_private_names_are_referenced():
+    assert unreferenced_private_names({p.stem: p.read_text() for p in ALL_FILES}) == []

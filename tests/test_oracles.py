@@ -47,16 +47,6 @@ def test_ledger_charge_and_merge():
     a.charge(uf=4, classical=6, phase="refresh")
     assert (a.uf_queries, a.classical_queries, a.grad_oracle_queries) == (6, 6, 0)
     assert a.phase_tags == {"init": (2, 0, 0), "refresh": (4, 6, 0)}
-
-    b = QueryLedger()
-    b.charge(classical=1, grad=5, phase="refresh")
-    ab, ba = a + b, b + a
-    assert ab == ba
-    assert ab.uf_queries == 6 and ab.classical_queries == 7 and ab.grad_oracle_queries == 5
-    assert ab.phase_tags["refresh"] == (4, 7, 5)
-    c = QueryLedger()
-    c.charge(uf=9)
-    assert (a + b) + c == a + (b + c)
     with pytest.raises(ValueError):
         a.charge(uf=-1)
 
@@ -120,6 +110,21 @@ def test_delta_g_shares_the_draw():
         o_delta_g(spec, x, x, SM, substream(3, "shared"), led), np.zeros(3))
 
 
+def test_single_draw_oracles_reject_wrong_shape_points():
+    spec = catalog_make("sawtooth", 3, noise_scale=0.2)
+    x = np.array([0.3, 0.1, 0.7])
+    rng, led = substream(3, "shape"), QueryLedger()
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError):
+        o_g_delta(spec, np.array([0.5]), SM, rng, led)
+    with pytest.raises(ValueError):
+        o_delta_g(spec, x, 0.2, SM, rng, led)
+    with pytest.raises(ValueError):
+        o_delta_g(spec, np.ones((1, 3)), x, SM, rng, led)
+    assert rng.bit_generator.state == state
+    assert led == QueryLedger()
+
+
 def test_quantum_mean_cost_formula():
     assert quantum_mean_cost(2.0, 4, 0.5, CostModel()) == 8
     assert quantum_mean_cost(0.0, 4, 0.5, CostModel()) == 1
@@ -127,7 +132,6 @@ def test_quantum_mean_cost_formula():
     c2 = quantum_mean_cost(3.7, 5, 0.4, CostModel())
     assert c2 <= c1 and c1 <= 2 * c2 + 1
     assert quantum_mean_cost(2.0, 4, 1.0, CostModel(mode="classical")) == 4
-    assert quantum_mean_cost(2.0, 4, 1.0, CostModel(mode="classical"), d_mult=3) == 12
     with pytest.raises(ValueError):
         quantum_mean_cost(2.0, 4, 0.0, CostModel())
 
@@ -140,7 +144,7 @@ def test_estimate_grad_charges_and_floor():
     est = estimate_grad(spec, spec.x0, SM, 2.0 * 2.0, CostModel(), substream(4, "floor"), led)
     single = o_g_delta(spec, spec.x0, SM, substream(4, "floor"), QueryLedger())
     np.testing.assert_array_equal(est.value, single)
-    assert led.uf_queries == 2 and est.kind == "grad"
+    assert led.uf_queries == 2
 
     czero = estimate_grad(catalog_make("constant", 3), np.zeros(3), SM, 1e-6,
                           CostModel(), substream(4, "c"), led)
@@ -262,7 +266,7 @@ def test_estimate_sgrad_diff():
     from qzopt import ObjectiveSpec
     unit = ObjectiveSpec(name="quadratic-smooth", d=4, L=1.0, noise_kind="none",
                          noise_scale=0.0, f_star=0.0, delta_0=0.0,
-                         has_closed_f_delta=True, x0=np.zeros(4),
+                         x0=np.zeros(4),
                          smooth_params=(1.0, 1.0), lambdas=np.ones(4))
     e3 = estimate_sgrad_diff(unit, x, y, 0.1, CostModel(), substream(10, "sd1"),
                              QueryLedger())

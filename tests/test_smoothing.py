@@ -104,6 +104,23 @@ def test_f_delta_closed_matches_mc():
         assert abs(closed - est) <= 4.5 * max(se, 1e-12)
 
 
+@pytest.mark.parametrize("d", [1, 2, 4, 8])
+def test_f_delta_abs_linear_matches_mpmath(d):
+    # E|c + delta t| over the ball's one-dimensional marginal, integrated at 40
+    # digits on either side of the kink; c just inside delta is the hard case
+    mpmath = pytest.importorskip("mpmath")
+    spec = catalog_make("abs-linear", d, direction=np.eye(d)[0])
+    for delta in (0.1, 0.3, 0.7):
+        for c in (0.0, 0.25 * delta, -0.6 * delta, np.nextafter(delta, 0.0), 1e-19):
+            with mpmath.workdps(40):
+                cm, dm, e = mpmath.mpf(float(c)), mpmath.mpf(delta), mpmath.mpf(d - 1) / 2
+                mass = mpmath.quad(lambda t: abs(cm + dm * t) * (1 - t * t) ** e,
+                                   [-1, -cm / dm, 1])
+                want = mass / mpmath.beta(mpmath.mpf(1) / 2, e + 1)
+            got = f_delta(spec, np.eye(d)[0] * c, SmoothingParams(delta))
+            assert abs(got - float(want)) <= 2e-15 * float(want), (delta, c)
+
+
 def test_f_delta_mode_errors():
     spec = catalog_make("sawtooth", 2)
     params = SmoothingParams(0.1)

@@ -1,4 +1,5 @@
 import math
+import types
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from qzopt import (
     substream,
     verify_stationary,
 )
+from qzopt import harness
 from qzopt import stationarity as st_mod
 
 SM = SmoothingParams(0.1)
@@ -141,3 +143,18 @@ def test_verify_stationary_inconclusive_at_threshold(monkeypatch):
     got = verify_stationary(speca, np.array([3.0, 0.0]), SM, 1.0, 0.95,
                             substream(8, "v5"))
     assert got == "inconclusive"
+
+
+@pytest.mark.parametrize("estimate, half_width, eps, want", [
+    (0.25, 0.125, 0.375, "accepted"),  # estimate + half_width == eps
+    (0.5, 0.125, 0.375, "inconclusive"),  # estimate - half_width == eps
+])
+def test_interval_verdict_boundaries_agree(monkeypatch, estimate, half_width, eps, want):
+    report = st_mod.ResidualReport(point=np.zeros(2), delta=SM.delta, estimate=estimate,
+                                   half_width=half_width, n=2, confidence=0.95)
+    assert st_mod._interval_verdict(report, eps) == want
+    run = types.SimpleNamespace(budget_exceeded=False, residual=report)
+    assert harness._verdict(run, eps) == want
+    monkeypatch.setattr(st_mod, "goldstein_residual", lambda *args: report)
+    assert verify_stationary(catalog_make("sawtooth", 2), np.zeros(2), SM, eps, 0.95,
+                             substream(8, "vb")) == want
