@@ -329,7 +329,8 @@ def _recursion(
 
     fresh and diff are called like ``estimate_sgrad`` and
     ``estimate_sgrad_diff``.  smoothing is None on the smooth track, which
-    selects the gradient-oracle budget counter and the exact residual.
+    selects the gradient-oracle budget counter and the exact residual and
+    phi, leaving residual_n, residual_confidence and trace_ref_n unused.
     """
     x = _as_point(spec, x0)
     sigma1 = math.sqrt(params.sigma1_sq)
@@ -457,10 +458,9 @@ def qgm_plus(
     *,
     trace: bool = False,
     budget: int = DEFAULT_BUDGET,
-    trace_ref_n: int = 2000,
 ) -> RunResult:
     """Variance-reduced descent on a smooth objective with gradient oracle."""
     if spec.smooth_params is None:
         raise ValueError(f"{spec.name!r} exposes no smooth gradient oracle")
     return _recursion("qgm_plus", spec, x0, params, None, model, seed, estimate_sgrad,
-                      estimate_sgrad_diff, trace, budget, 0, 1.0, trace_ref_n)
+                      estimate_sgrad_diff, trace, budget, 0, 1.0, 0)

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .objectives import ObjectiveSpec, XiSample, eval_F
+from .objectives import ObjectiveSpec, XiSample, _check_point, _F_rows, _payload_rows
 from .smoothing import SmoothingParams
 
 __all__ = [
@@ -335,23 +335,24 @@ def _pipeline_core(
     spec: ObjectiveSpec,
     x: np.ndarray,
     params: SmoothingParams,
-    xi: XiSample,
+    payload,
     wq: np.ndarray,
     frac_bits: int,
     tape: StageTape,
 ) -> np.ndarray:
-    """Quantized diff = F(x + delta w) - F(x - delta w), scaled by d/(2 delta)."""
+    """Quantized diff = F(x + delta w) - F(x - delta w), scaled by d/(2 delta),
+    on checked length-d x and wq and xi's one-row batch payload."""
     q = lambda v: fixed_point_quantize(v, frac_bits)  # noqa: E731
     delta = params.delta
-    xq = q(np.asarray(x, dtype=float))
+    xq = q(x)
     tape.note("A+")
     x_plus = q(xq + delta * wq)
     tape.note("A-")
     x_minus = q(xq - delta * wq)
     tape.note("U_F")
-    f_plus = q(eval_F(spec, x_plus, xi))
+    f_plus = q(float(_F_rows(spec, x_plus[None, :], payload)[0]))
     tape.note("U_F")
-    f_minus = q(eval_F(spec, x_minus, xi))
+    f_minus = q(float(_F_rows(spec, x_minus[None, :], payload)[0]))
     tape.note("sub")
     diff = q(f_plus - f_minus)
     tape.note("Fmul")
@@ -374,8 +375,9 @@ def emulate_U_g(
     """
     tape = tape or StageTape()
     fb = layout.frac_bits
-    wq = fixed_point_quantize(np.asarray(w, dtype=float), fb)
-    scaled = _pipeline_core(spec, x, params, xi, wq, fb, tape)
+    wq = fixed_point_quantize(_check_point(spec, w), fb)
+    payload = _payload_rows(spec, xi)
+    scaled = _pipeline_core(spec, _check_point(spec, x), params, payload, wq, fb, tape)
     tape.note("mul")
     return fixed_point_quantize(scaled * wq, fb)
 
@@ -397,9 +399,10 @@ def emulate_V_g(
     """
     tape = tape or StageTape()
     fb = layout.frac_bits
-    wq = fixed_point_quantize(np.asarray(w, dtype=float), fb)
-    vx = _pipeline_core(spec, x, params, xi, wq, fb, tape)
-    vy = _pipeline_core(spec, y, params, xi, wq, fb, tape)
+    wq = fixed_point_quantize(_check_point(spec, w), fb)
+    payload = _payload_rows(spec, xi)
+    vx = _pipeline_core(spec, _check_point(spec, x), params, payload, wq, fb, tape)
+    vy = _pipeline_core(spec, _check_point(spec, y), params, payload, wq, fb, tape)
     tape.note("sub")
     diff = fixed_point_quantize(vx - vy, fb)
     tape.note("mul")

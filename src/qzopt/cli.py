@@ -9,7 +9,6 @@ import argparse
 import sys
 
 import numpy as np
-from scipy import stats
 
 from .circuit import RegisterLayout, invalid_probability, pipeline_sample_batch
 from .harness import (
@@ -113,6 +112,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_circuit_demo(args: argparse.Namespace) -> int:
+    from scipy import stats  # only this command needs it; keeps `import qzopt` off scipy.stats
     layout = RegisterLayout(m1=args.m1, m2=args.m2, d=args.d)
     if args.n < 1:
         raise ConfigError("n must be positive")

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -76,8 +76,7 @@ class ExperimentConfig:
     delta: float = 0.0
     noise_scale: float = 0.0
     noise_kind: str | None = None
-    cost: CostModel = None  # type: ignore[assignment]
-    trace: bool = False
+    cost: CostModel = field(default_factory=CostModel)
     out_path: str = ""
     budget: int = DEFAULT_BUDGET
     residual_n: int = 20000
@@ -85,8 +84,6 @@ class ExperimentConfig:
     timings: bool = False
 
     def __post_init__(self) -> None:
-        if self.cost is None:
-            self.cost = CostModel()
         if self.algorithm not in ALGORITHMS:
             raise ConfigError(f"unknown algorithm {self.algorithm!r}")
         if self.problem not in CATALOG_NAMES:
@@ -173,7 +170,6 @@ _KEYS = {
     "seeds": ("seeds", _parse_list(_parse_int)),
     "cost_mode": ("mode", None),
     "c_q": ("c_q", _parse_float),
-    "log_factor_policy": ("log_factor_policy", None),
     "log_k": ("log_k", _parse_int),
     "algorithm": ("algorithm", None),
     "problem": ("problem", None),
@@ -181,7 +177,6 @@ _KEYS = {
     "delta": ("delta", _parse_float),
     "noise_scale": ("noise_scale", _parse_float),
     "noise_kind": ("noise_kind", None),
-    "trace": ("trace", _parse_bool),
     "out": ("out_path", None),
     "budget": ("budget", _parse_int),
     "residual_n": ("residual_n", _parse_int),
@@ -267,15 +262,14 @@ def run_one(config: ExperimentConfig, spec: ObjectiveSpec, eps: float, seed: int
                        else (derive_params_qgfm_plus, qgfm_plus))
         params = derive(spec.d, spec.L, config.delta, eps, spec.delta_0)
         result = run(spec, spec.x0, params, SmoothingParams(config.delta), config.cost, seed,
-                     trace=config.trace, budget=config.budget, residual_n=config.residual_n,
+                     budget=config.budget, residual_n=config.residual_n,
                      residual_confidence=config.residual_confidence)
     else:
         if spec.smooth_params is None:
             raise ConfigError(f"{config.problem} has no smooth gradient oracle")
         l, sigma = spec.smooth_params
         params = derive_params_qgm_plus(l, sigma, eps, spec.delta_0, spec.d)
-        result = qgm_plus(spec, spec.x0, params, config.cost, seed,
-                          trace=config.trace, budget=config.budget)
+        result = qgm_plus(spec, spec.x0, params, config.cost, seed, budget=config.budget)
     wall_ms = int(round((time.perf_counter() - t0) * 1000.0)) if config.timings else 0
     led = result.ledger
     return RunRow(

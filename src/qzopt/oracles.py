@@ -43,7 +43,6 @@ __all__ = [
 ]
 
 COST_MODES = ("quantum", "classical")
-LOG_POLICIES = ("ignored", "explicit")
 
 
 @dataclass
@@ -51,14 +50,13 @@ class CostModel:
     """How ledger charges are computed.
 
     c_q is the constant hidden in the quantum mean-estimation rate.
-    log_factor_policy "explicit" multiplies quantum charges by
+    log_k > 0 multiplies quantum charges by
     max(1, ceil(log2(1/sigma_hat)))**log_k for sensitivity studies;
-    the default treats polylog factors as 1.
+    the default log_k = 0 treats polylog factors as 1.
     """
 
     mode: str = "quantum"
     c_q: float = 1.0
-    log_factor_policy: str = "ignored"
     log_k: int = 0
 
     def __post_init__(self) -> None:
@@ -66,13 +64,11 @@ class CostModel:
             raise ValueError(f"unknown cost mode {self.mode!r}")
         if self.c_q <= 0:
             raise ValueError("c_q must be positive")
-        if self.log_factor_policy not in LOG_POLICIES:
-            raise ValueError(f"unknown log_factor_policy {self.log_factor_policy!r}")
         if self.log_k < 0:
             raise ValueError("log_k must be non-negative")
 
     def log_multiplier(self, sigma_hat: float) -> int:
-        if self.log_factor_policy != "explicit" or self.log_k == 0:
+        if self.log_k == 0:
             return 1
         base = max(1, math.ceil(math.log2(1.0 / sigma_hat)))
         return base**self.log_k

@@ -273,8 +273,12 @@ def f_delta(
             raise ValueError("mc mode needs a positive sample count n")
         if rng is None:
             raise ValueError("mc mode needs an rng")
-        U = _sphere_batch(spec.d, n, rng) * rng.uniform(size=n)[:, None] ** (1.0 / spec.d)
-        vals = _f_rows(spec, x[None, :] + delta * U)
+        # uniform ball points, scaled and shifted in place: x + delta * U
+        X = _sphere_batch(spec.d, n, rng)
+        X *= rng.uniform(size=n)[:, None] ** (1.0 / spec.d)
+        X *= delta
+        X += x
+        vals = _f_rows(spec, X)
         est = float(vals.mean())
         se = float(vals.std(ddof=1) / math.sqrt(n)) if n > 1 else math.inf
         return est, se

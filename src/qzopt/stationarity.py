@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize, stats
+from scipy import optimize, special
 
 from .objectives import ObjectiveSpec, _finite_point
 from .smoothing import SmoothingParams, _g_delta_mean
@@ -63,7 +63,7 @@ def goldstein_residual(
     if not 0.0 < confidence < 1.0:
         raise ValueError("confidence must lie in (0, 1)")
     mean, se = _g_delta_mean(spec, x, params.delta, n, rng, want_se=True)
-    z = float(stats.norm.ppf(1.0 - (1.0 - confidence) / (2.0 * spec.d)))
+    z = float(special.ndtri(1.0 - (1.0 - confidence) / (2.0 * spec.d)))
     half = z * float(np.linalg.norm(se))
     return ResidualReport(
         point=x,

@@ -63,14 +63,14 @@ def test_config_every_key_and_defaults():
         algorithm="qgfm", problem="abs-linear", d=2, eps_grid=(0.4,), seeds=(0, 1), delta=0.3)
     full = {k: v for k, v in base.items() if k != "eps"}
     full.update(eps_grid="0.4, 0.2,", noise_scale="0.1", noise_kind="additive-offset",
-                cost_mode="classical", c_q="1.5", log_factor_policy="explicit", log_k="1",
-                trace="yes", out="rows.csv", budget="777", residual_n="300",
+                cost_mode="classical", c_q="1.5", log_k="1",
+                out="rows.csv", budget="777", residual_n="300",
                 residual_confidence="0.9", timings="1")
     assert config_from_mapping(full) == ExperimentConfig(
         algorithm="qgfm", problem="abs-linear", d=2, eps_grid=(0.4, 0.2), seeds=(0, 1),
         delta=0.3, noise_scale=0.1, noise_kind="additive-offset",
-        cost=CostModel(mode="classical", c_q=1.5, log_factor_policy="explicit", log_k=1),
-        trace=True, out_path="rows.csv", budget=777, residual_n=300, residual_confidence=0.9,
+        cost=CostModel(mode="classical", c_q=1.5, log_k=1),
+        out_path="rows.csv", budget=777, residual_n=300, residual_confidence=0.9,
         timings=True)
 
 
@@ -91,15 +91,13 @@ def test_config_mapping_errors():
     with pytest.raises(ConfigError, match="must be a number"):
         config_from_mapping({**base, "eps": "tiny"})
     with pytest.raises(ConfigError, match="must be a boolean"):
-        config_from_mapping({**base, "trace": "maybe"})
+        config_from_mapping({**base, "timings": "maybe"})
 
 
 def test_config_cost_model_keys():
     base = parse_config(CONFIG_TEXT)
-    cfg = config_from_mapping({**base, "cost_mode": "classical", "c_q": "2.5",
-                               "log_factor_policy": "explicit", "log_k": "2"})
-    assert cfg.cost == CostModel(mode="classical", c_q=2.5,
-                                 log_factor_policy="explicit", log_k=2)
+    cfg = config_from_mapping({**base, "cost_mode": "classical", "c_q": "2.5", "log_k": "2"})
+    assert cfg.cost == CostModel(mode="classical", c_q=2.5, log_k=2)
     with pytest.raises(ConfigError):
         config_from_mapping({**base, "cost_mode": "analog"})
 

@@ -264,8 +264,8 @@ def _budget_outputs() -> dict[str, str]:
 
 # c_q != 1 and an explicit log factor exercise every term of the charge rules
 CHARGE_MODELS = {
-    "quantum": CostModel(c_q=1.7, log_factor_policy="explicit", log_k=2),
-    "classical": CostModel(mode="classical", c_q=1.7, log_factor_policy="explicit", log_k=2),
+    "quantum": CostModel(c_q=1.7, log_k=2),
+    "classical": CostModel(mode="classical", c_q=1.7, log_k=2),
 }
 CHARGE_SIGMAS = (0.0123, 0.07, 0.3, 2.5)
 FAR = X + np.array([0.41, 0.27, -0.33])

@@ -8,6 +8,9 @@ imports names to re-export them.  Because an ``__all__`` string counts
 as a use, a stale ``__all__`` entry needs its own check.
 """
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -143,3 +146,12 @@ def test_scan_finds_an_unreferenced_private_name():
 
 def test_private_names_are_referenced():
     assert unreferenced_private_names({p.stem: p.read_text() for p in ALL_FILES}) == []
+
+
+def test_import_path_leaves_scipy_stats_unloaded():
+    # scipy.stats costs about 0.45 s of CPU to import; only `qzopt circuit-demo` uses it
+    probe = "import sys, qzopt, qzopt.cli; print('scipy.stats' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.strip() == "False"

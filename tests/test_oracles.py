@@ -31,14 +31,12 @@ def test_cost_model_validation():
     with pytest.raises(ValueError):
         CostModel(c_q=0.0)
     with pytest.raises(ValueError):
-        CostModel(log_factor_policy="verbose")
-    with pytest.raises(ValueError):
         CostModel(log_k=-1)
     assert CostModel().log_multiplier(0.01) == 1
-    assert CostModel(log_factor_policy="explicit", log_k=1).log_multiplier(0.25) == 2
-    assert CostModel(log_factor_policy="explicit", log_k=2).log_multiplier(0.25) == 4
+    assert CostModel(log_k=1).log_multiplier(0.25) == 2
+    assert CostModel(log_k=2).log_multiplier(0.25) == 4
     # sigma_hat >= 1 floors at a unit multiplier
-    assert CostModel(log_factor_policy="explicit", log_k=3).log_multiplier(2.0) == 1
+    assert CostModel(log_k=3).log_multiplier(2.0) == 1
 
 
 def test_ledger_charge_and_merge():
@@ -278,6 +276,6 @@ def test_explicit_log_policy_scales_charges():
     base, logged = QueryLedger(), QueryLedger()
     estimate_grad(spec, spec.x0, SM, 0.25, CostModel(), substream(11, "lg"), base)
     estimate_grad(spec, spec.x0, SM, 0.25,
-                  CostModel(log_factor_policy="explicit", log_k=1),
+                  CostModel(log_k=1),
                   substream(11, "lg"), logged)
     assert logged.uf_queries == 2 * base.uf_queries  # ceil(log2(4)) = 2

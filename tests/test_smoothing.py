@@ -172,17 +172,33 @@ def test_g_delta_mean_chunking(monkeypatch):
     assert np.all(np.abs(mean - spec.direction) <= 4 * se)
 
 
+def _peak_bytes(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
 def test_g_delta_mean_peak_memory():
     # the draws are the only chunk-sized array; the estimates are formed block by block
     spec = catalog_make("abs-linear", 64)
     n = 80_000
     x = 0.03 * spec.direction
-    tracemalloc.start()
-    try:
-        sm_mod._g_delta_mean(spec, x, 0.3, n, substream(18, "peak"), want_se=True)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak = _peak_bytes(
+        lambda: sm_mod._g_delta_mean(spec, x, 0.3, n, substream(18, "peak"), want_se=True))
+    assert peak < n * spec.d * 8 + 4 * 2**20
+
+
+def test_f_delta_mc_peak_memory():
+    # the ball points are scaled and shifted in place, so the directions are the only n x d array
+    spec = catalog_make("abs-linear", 64)
+    n = 80_000
+    x = 0.03 * spec.direction
+    peak = _peak_bytes(lambda: f_delta(spec, x, SmoothingParams(0.3), mode="mc", n=n,
+                                       rng=substream(18, "mc-peak")))
     assert peak < n * spec.d * 8 + 4 * 2**20
 
 

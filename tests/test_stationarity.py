@@ -3,6 +3,7 @@ import types
 
 import numpy as np
 import pytest
+from scipy import special, stats
 
 from qzopt import (
     SmoothingParams,
@@ -158,3 +159,11 @@ def test_interval_verdict_boundaries_agree(monkeypatch, estimate, half_width, ep
     monkeypatch.setattr(st_mod, "goldstein_residual", lambda *args: report)
     assert verify_stationary(catalog_make("sawtooth", 2), np.zeros(2), SM, eps, 0.95,
                              substream(8, "vb")) == want
+
+
+@pytest.mark.parametrize("confidence", [0.5, 0.8, 0.9, 0.95, 0.99, 0.999])
+def test_ndtri_is_norm_ppf_bit_for_bit(confidence):
+    # goldstein_residual's z-value calls special.ndtri in place of stats.norm.ppf
+    d = np.arange(1, 2049)
+    q = 1.0 - (1.0 - confidence) / (2.0 * d)
+    assert np.array_equal(special.ndtri(q), stats.norm.ppf(q))
