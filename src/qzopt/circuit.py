@@ -32,7 +32,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .objectives import ObjectiveSpec, XiSample, _check_point, _F_rows, _payload_rows
+from .objectives import (
+    ObjectiveSpec,
+    XiSample,
+    _block_rows,
+    _check_point,
+    _F_rows,
+    _payload_rows,
+    _row_norms,
+)
 from .smoothing import SmoothingParams
 
 __all__ = [
@@ -183,7 +191,7 @@ def _decode_indices(layout: RegisterLayout, indices: np.ndarray) -> tuple[np.nda
 def _w_from_sums(sums: np.ndarray, m2: int) -> tuple[np.ndarray, np.ndarray]:
     """Standardize bit sums and normalize rows; exact-zero rows are invalid."""
     h = (2.0 * sums - m2) / math.sqrt(m2)
-    norms = np.linalg.norm(h, axis=1)
+    norms = _row_norms(h)
     valid = norms > 0.0
     W = np.full_like(h, np.nan)
     np.divide(h, norms[:, None], out=W, where=valid[:, None])
@@ -248,15 +256,22 @@ def pipeline_sample_batch(
 
     xi is uniform on m1 bits and each coordinate's bit sum is
     Binomial(m2, 1/2), exactly the marginals the state-vector path
-    measures; the decode from sums onward is shared code.
+    measures; the decode from sums onward is shared code.  The sums are
+    drawn and decoded one block of rows at a time: the binomial draws fill
+    elements in order, so the blocks hold the values one whole draw gives.
     """
     if layout.m1 <= 62:
         xi = rng.integers(0, 1 << layout.m1, size=n, dtype=np.int64)
     else:
         bits = rng.integers(0, 2, size=(n, layout.m1))
         xi = np.array([int("".join(map(str, row)), 2) for row in bits], dtype=object)
-    sums = rng.binomial(layout.m2, 0.5, size=(n, layout.d))
-    W, valid = _w_from_sums(sums, layout.m2)
+    W = np.empty((n, layout.d))
+    valid = np.empty(n, dtype=bool)
+    step = _block_rows(layout.d)
+    for start in range(0, n, step):
+        stop = min(start + step, n)
+        sums = rng.binomial(layout.m2, 0.5, size=(stop - start, layout.d))
+        W[start:stop], valid[start:stop] = _w_from_sums(sums, layout.m2)
     return xi, W, valid
 
 

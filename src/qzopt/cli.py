@@ -21,7 +21,7 @@ from .harness import (
     scaling_sweep,
     write_csv,
 )
-from .objectives import CATALOG_NAMES, catalog_make
+from .objectives import CATALOG_NAMES, _row_norms, catalog_make
 from .rng import substream
 from .smoothing import SmoothingParams
 from .stationarity import exact_goldstein_distance, goldstein_residual, verify_stationary
@@ -127,10 +127,9 @@ def _cmd_circuit_demo(args: argparse.Namespace) -> int:
     if n_valid == 0:
         print("no valid samples drawn")
         return 0
-    Wv = W[valid]
-    norms = np.linalg.norm(Wv, axis=1)
+    norms = _row_norms(W)[valid]
     print(f"||w|| on valid samples: min {norms.min():.12f} max {norms.max():.12f}")
-    last = Wv[:, -1]
+    last = W[valid, -1]
     print(f"w_last moments: mean {last.mean():+.4f} var {last.var():.4f}")
     if layout.d == 3:
         ks = stats.kstest(last, stats.uniform(loc=-1.0, scale=2.0).cdf)

@@ -287,16 +287,23 @@ def _row_norms(v: np.ndarray) -> np.ndarray:
     return norms
 
 
-def _unit_rows(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
+def _unit_rows(d: int, n: int, rng: np.random.Generator, more: int = 0) -> np.ndarray:
     """n uniform unit rows in R^d, normalized in place.
 
     The norm is the one np.linalg.norm(v, axis=1) computes for real
     input, sqrt of the row sums of v*v, so the rows are bit-identical to
     v / np.linalg.norm(v, axis=1)[:, None].  All-zero rows (probability
-    zero) are redrawn.
+    zero) are redrawn.  A caller drawing one batch in pieces passes the
+    rows still to come as more: one whole draw redraws only after all its
+    rows are drawn, so a piece with an all-zero row draws those rows too
+    before the redraw, and n + more rows come back.
     """
     v = rng.standard_normal((n, d))
     norms = _row_norms(v)
+    if more and np.count_nonzero(norms) < n:
+        v = np.concatenate((v, rng.standard_normal((more, d))))
+        norms = _row_norms(v)
+        n += more
     while np.count_nonzero(norms) < n:
         bad = norms == 0.0
         v[bad] = rng.standard_normal((int(bad.sum()), d))

@@ -82,8 +82,8 @@ def sample_ball(d: int, rng: np.random.Generator) -> np.ndarray:
     return w * rng.uniform() ** (1.0 / d)
 
 
-def _sphere_batch(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    return _unit_rows(d, n, rng)
+def _sphere_batch(d: int, n: int, rng: np.random.Generator, more: int = 0) -> np.ndarray:
+    return _unit_rows(d, n, rng, more)
 
 
 def g_delta(
@@ -125,8 +125,11 @@ def _g_delta_mean(
     """Mean of n fresh two-point estimates; optional per-coordinate SE.
     With y, of the shared-draw differences g_delta(x; w, xi) - g_delta(y; w, xi).
 
-    Draw chunk: W and then the payload are drawn whole for each _CHUNK
-    rows, so the streams do not depend on how the work is split after that.
+    Draw chunk: W and then the payload are drawn as if whole for each
+    _CHUNK rows, so the streams do not depend on how the work is split
+    after that.  A noisy chunk draws them whole, since its payload follows
+    W in the stream; a noise-free chunk draws no payload and draws W block
+    by block, right before each block is evaluated (see _sphere_blocks).
     Compute block: a chunk longer than one block of objectives._BLOCK
     elements is evaluated over blocks of _block_rows(d) rows, a multiple of
     64, so that each block keeps the 4-row grouping of the BLAS matvec in
@@ -145,9 +148,9 @@ def _g_delta_mean(
     left = n
     while left > 0:
         m = min(left, _CHUNK)
-        W = _sphere_batch(spec.d, m, rng)
-        payload = _sample_xi_batch(spec, m, rng)
         if m * spec.d <= _BLOCK or spec.d == 1:
+            W = _sphere_batch(spec.d, m, rng)
+            payload = _sample_xi_batch(spec, m, rng)
             G = _g_delta_rows(spec, x, delta, W, payload)
             if y is not None:
                 G -= _g_delta_rows(spec, y, delta, W, payload)
@@ -156,7 +159,14 @@ def _g_delta_mean(
                 G *= G
                 total_sq += np.add.reduce(G, axis=0)
         else:
-            acc, acc_sq = _blocked_sums(spec, x, y, delta, W, payload, want_se)
+            bounds = _block_bounds(m, spec.d)
+            if spec.noise_kind == "none":
+                blocks = _sphere_blocks(spec.d, bounds, rng)
+            else:
+                W = _sphere_batch(spec.d, m, rng)
+                payload = _sample_xi_batch(spec, m, rng)
+                blocks = ((W[a:b], payload[a:b]) for a, b in bounds)
+            acc, acc_sq = _blocked_sums(spec, x, y, delta, blocks, want_se)
             total += acc
             if want_se:
                 total_sq += acc_sq
@@ -172,25 +182,52 @@ def _g_delta_mean(
     return mean, se
 
 
+def _block_bounds(m: int, d: int) -> list[tuple[int, int]]:
+    """Compute-block row ranges of an m-row chunk (see _g_delta_mean)."""
+    step = _block_rows(d)
+    bounds = []
+    start = 0
+    while start < m:
+        stop = m if m - start <= step + 1 else start + step
+        bounds.append((start, stop))
+        start = stop
+    return bounds
+
+
+def _sphere_blocks(d: int, bounds: list[tuple[int, int]], rng: np.random.Generator):
+    """(W, None) for each compute block of a noise-free chunk, W drawn
+    just before the block is used.
+
+    standard_normal fills rows in order, so the blocks hold the rows of one
+    _sphere_batch over the chunk and leave the stream where it does.  That
+    draw redraws all-zero rows only once the whole chunk is drawn, so a
+    block holding one draws the rest of the chunk with it (see _unit_rows);
+    the remainder is then served from that one array.
+    """
+    m = bounds[-1][1]
+    for i, (start, stop) in enumerate(bounds):
+        W = _sphere_batch(d, stop - start, rng, m - stop)
+        if W.shape[0] == stop - start:
+            yield W, None
+            continue
+        for a, b in bounds[i:]:
+            yield W[a - start:b - start], None
+        return
+
+
 def _blocked_sums(
     spec: ObjectiveSpec,
     x: np.ndarray,
     y: np.ndarray | None,
     delta: float,
-    W: np.ndarray,
-    payload,
+    blocks,
     want_se: bool,
 ):
     """Column sums of one chunk's estimates and, with want_se, of their
-    squares, over compute blocks with a carried sum (see _g_delta_mean)."""
-    m = W.shape[0]
-    step = _block_rows(spec.d)
+    squares, over its compute blocks, (W, payload) row pairs in order, with
+    a carried sum (see _g_delta_mean)."""
     acc = acc_sq = None
-    start = 0
-    while start < m:
-        stop = m if m - start <= step + 1 else start + step
-        Wb = W[start:stop]
-        pb = None if payload is None else payload[start:stop]
+    for Wb, pb in blocks:
         G = _g_delta_rows(spec, x, delta, Wb, pb)
         if y is not None:
             G -= _g_delta_rows(spec, y, delta, Wb, pb)
@@ -202,7 +239,6 @@ def _blocked_sums(
         if acc is not None:
             G[0] += acc
         acc = np.add.reduce(G, axis=0)
-        start = stop
     return acc, acc_sq
 
 

@@ -4,6 +4,7 @@ import sys
 import pytest
 
 from qzopt.cli import main
+from test_smoothing import _peak_bytes
 
 CONFIG = """\
 algorithm = qgfm
@@ -117,6 +118,17 @@ def test_circuit_demo_wide_even_register(capsys):
     code = main(["circuit-demo", "--m1", "2", "--m2", "1024", "--d", "2", "--n", "100"])
     assert code == 0
     assert "layout: m1=2 m2=1024 d=2 (2050 qubits total)" in capsys.readouterr().out
+
+
+def test_circuit_demo_peak_memory(capsys):
+    # the bit sums are drawn and decoded block by block into W, and the valid rows are
+    # read from W in place, so W is the only n x d array
+    args = ["circuit-demo", "--m1", "8", "--m2", "256", "--d", "8", "--seed", "1", "--n"]
+    assert main(args + ["100"]) == 0  # imports scipy.stats outside the measured call
+    n, d = 200_000, 8
+    peak = _peak_bytes(lambda: main(args + [str(n)]))
+    assert "||w|| on valid samples" in capsys.readouterr().out
+    assert peak < n * d * 8 + 8 * 2**20
 
 
 def test_circuit_demo_bad_n(capsys):

@@ -777,6 +777,126 @@ def test_sphere_samplers_redraw_zero_rows(sampler):
     assert np.array_equal(W[1:], first[1:] / np.linalg.norm(first[1:], axis=1)[:, None])
 
 
+def _whole_chunk_blocks(d, bounds, rng):
+    """Reference for smoothing._sphere_blocks: the chunk's directions drawn whole, then sliced."""
+    W = smoothing._sphere_batch(d, bounds[-1][1], rng)
+    return [(W[a:b], None) for a, b in bounds]
+
+
+def _streamed_and_whole(monkeypatch, call):
+    """call() as the code runs it and with each noise-free chunk's directions drawn whole."""
+    streamed = call()
+    with monkeypatch.context() as mp:
+        mp.setattr(smoothing, "_sphere_blocks", _whole_chunk_blocks)
+        whole = call()
+    return streamed, whole
+
+
+# (problem, d): each full draw chunk is two compute blocks, the second with a one-row tail
+# joined to it, and the last chunk is one block and a three-row tail (at d=3 that chunk
+# is under one block of elements and is drawn whole)
+STREAMED_CASES = (("abs-linear", 2), ("abs-linear", 3), ("sawtooth", 3), ("abs-linear", 8),
+                  ("quadratic-smooth", 8), ("abs-linear", 64), ("abs-linear", 1024))
+
+
+@pytest.mark.parametrize("want_se", [False, True])
+@pytest.mark.parametrize("with_y", [False, True])
+@pytest.mark.parametrize("problem,d", STREAMED_CASES)
+def test_streamed_directions_match_whole_chunk_draws(monkeypatch, problem, d, with_y, want_se):
+    spec = catalog_make(problem, d)
+    step = objectives._block_rows(d)
+    chunk = 2 * step + 1
+    n = 2 * chunk + step + 3
+    pts = substream(19, "streamed-x", d)
+    x = pts.uniform(-0.05, 0.05, d)
+    y = x + pts.uniform(-0.02, 0.02, d) if with_y else None
+    monkeypatch.setattr(smoothing, "_CHUNK", chunk)
+
+    def call():
+        rng = substream(19, "streamed", d)
+        res = smoothing._g_delta_mean(spec, x, 0.3, n, rng, want_se=want_se, y=y)
+        return _hex(np.concatenate(res) if want_se else res), _hex(rng.standard_normal())
+
+    streamed, whole = _streamed_and_whole(monkeypatch, call)
+    assert streamed == whole
+
+
+class _ZeroRowStream:
+    """Generator stub: values sin(1), sin(2), ... in draw order, with row `zero` of the
+    stream all zero; the count runs across calls, so a split draw gives the values one
+    whole draw does."""
+
+    def __init__(self, d, zero):
+        self.d, self.zero, self.drawn, self.shapes = d, zero, 0, []
+
+    def standard_normal(self, shape):
+        self.shapes.append(shape)
+        size = shape[0] * shape[1]
+        v = np.sin(np.arange(self.drawn + 1.0, self.drawn + 1.0 + size))
+        a = self.zero * self.d - self.drawn  # draws hold whole rows
+        if 0 <= a < size:
+            v[a:a + self.d] = 0.0
+        self.drawn += size
+        return v.reshape(shape)
+
+
+@pytest.mark.parametrize("block", [1, 3])
+def test_streamed_zero_row_redraw_matches_whole_chunk(monkeypatch, block):
+    # a zero row in the second block draws the rest of the chunk before its redraw; one in
+    # the last block is redrawn there, as the whole-chunk draw would
+    d = 64
+    step = objectives._block_rows(d)
+    m = 3 * step + 40
+    spec = catalog_make("abs-linear", d)
+    x = substream(20, "zero-x").uniform(-0.05, 0.05, d)
+    stubs = []
+
+    def call():
+        stubs.append(_ZeroRowStream(d, block * step + 5))
+        mean, se = smoothing._g_delta_mean(spec, x, 0.3, m, stubs[-1], want_se=True)
+        return _hex(mean), _hex(se), stubs[-1].drawn
+
+    streamed, whole = _streamed_and_whole(monkeypatch, call)
+    assert streamed == whole
+    assert stubs[1].shapes == [(m, d), (1, d)]
+    if block == 1:
+        assert stubs[0].shapes == [(step, d), (step, d), (m - 2 * step, d), (1, d)]
+    else:
+        assert stubs[0].shapes == [(step, d)] * 3 + [(m - 3 * step, d), (1, d)]
+
+
+def _pipeline_batch_whole(layout, n, rng):
+    """pipeline_sample_batch with the bit sums drawn and decoded as one array."""
+    if layout.m1 <= 62:
+        xi = rng.integers(0, 1 << layout.m1, size=n, dtype=np.int64)
+    else:
+        bits = rng.integers(0, 2, size=(n, layout.m1))
+        xi = np.array([int("".join(map(str, row)), 2) for row in bits], dtype=object)
+    sums = rng.binomial(layout.m2, 0.5, size=(n, layout.d))
+    h = (2.0 * sums - layout.m2) / np.sqrt(layout.m2)
+    norms = np.linalg.norm(h, axis=1)
+    valid = norms > 0.0
+    W = np.full_like(h, np.nan)
+    np.divide(h, norms[:, None], out=W, where=valid[:, None])
+    return xi, W, valid
+
+
+# 10,001 rows at d=8: two full blocks and a partial one; m2=2 makes invalid rows, m1=63
+# takes the object-xi path
+@pytest.mark.parametrize("m1,m2", [(8, 2), (8, 256), (63, 3)])
+def test_pipeline_batch_blocks_match_whole_draws(m1, m2):
+    layout = RegisterLayout(m1=m1, m2=m2, d=8)
+    n = 10_001
+    assert n > 2 * objectives._block_rows(layout.d)
+    got = []
+    for sampler in (pipeline_sample_batch, _pipeline_batch_whole):
+        rng = substream(21, "pipeline-blocks", m1, m2)
+        xi, W, valid = sampler(layout, n, rng)
+        got.append((xi.dtype, xi.tolist(), _hex(W), valid.tobytes(), _hex(rng.standard_normal())))
+    assert got[0] == got[1]
+    assert 0 < int(valid.sum()) < n if m2 == 2 else int(valid.sum()) == n
+
+
 if __name__ == "__main__":
     rows = {**_estimate_outputs(), **_reference_outputs(), **_run_outputs(),
             **_budget_outputs(), **_charge_outputs(), **_quantize_outputs(),

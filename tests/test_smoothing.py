@@ -192,6 +192,18 @@ def test_g_delta_mean_peak_memory():
     assert peak < n * spec.d * 8 + 4 * 2**20
 
 
+def test_noise_free_g_delta_mean_peak_memory():
+    # a noise-free chunk draws its directions block by block, so no n x d array is built
+    # (the whole-chunk draw alone is n * d * 8 = 156 MiB here)
+    spec = catalog_make("abs-linear", 1024)
+    n = 20_000
+    x = 0.03 * spec.direction
+    peak = _peak_bytes(
+        lambda: sm_mod._g_delta_mean(spec, x, 0.3, n, substream(18, "streamed-peak"),
+                                     want_se=True))
+    assert peak < 4 * 2**20
+
+
 def test_f_delta_mc_peak_memory():
     # the ball points are scaled and shifted in place, so the directions are the only n x d array
     spec = catalog_make("abs-linear", 64)
