@@ -7,6 +7,12 @@ fits the measured query counts against the theoretical scaling
 exponents.  A small circuit module emulates the sampling oracle and the
 reversible arithmetic pipeline behind the estimator.
 """
+from numpy import __version__ as _numpy_version
+
+# circuit measurement needs np.bitwise_count (numpy 2); fail here, not mid-run
+if int(_numpy_version.split(".")[0]) < 2:
+    raise ImportError(f"qzopt needs numpy>=2.0; found numpy {_numpy_version}")
+
 from .objectives import (
     CATALOG_NAMES,
     GENERIC_EST_VAR_COEFF,

@@ -260,11 +260,8 @@ def pipeline_sample_batch(
     drawn and decoded one block of rows at a time: the binomial draws fill
     elements in order, so the blocks hold the values one whole draw gives.
     """
-    if layout.m1 <= 62:
-        xi = rng.integers(0, 1 << layout.m1, size=n, dtype=np.int64)
-    else:
-        bits = rng.integers(0, 2, size=(n, layout.m1))
-        xi = np.array([int("".join(map(str, row)), 2) for row in bits], dtype=object)
+    xi = (rng.integers(0, 1 << layout.m1, size=n, dtype=np.int64) if layout.m1 <= 62
+          else _xi_from_bits(layout.m1, n, rng))
     W = np.empty((n, layout.d))
     valid = np.empty(n, dtype=bool)
     step = _block_rows(layout.d)
@@ -273,6 +270,26 @@ def pipeline_sample_batch(
         sums = rng.binomial(layout.m2, 0.5, size=(stop - start, layout.d))
         W[start:stop], valid[start:stop] = _w_from_sums(sums, layout.m2)
     return xi, W, valid
+
+
+def _xi_from_bits(m1: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n ints of m1 > 62 bits, as an object array: the bits are drawn one per
+    element, first bit most significant, in blocks of rows.  Each bit is one
+    draw whatever the block shape, so the values and the stream end are those
+    of one (n, m1) draw.  A block packs into 62-bit int64 words by a matvec
+    over powers of two; the words join as Python ints."""
+    # column slices of the words, most significant first, with their place values
+    words = [(slice(max(0, stop - 62), stop), 1 << np.arange(min(stop, 62) - 1, -1, -1))
+             for stop in range(m1, 0, -62)][::-1]
+    xi = np.empty(n, dtype=object)
+    step = _block_rows(m1)
+    for start in range(0, n, step):
+        bits = rng.integers(0, 2, size=(min(step, n - start), m1))
+        vals = [0] * len(bits)
+        for cols, place in words:
+            vals = [(v << len(place)) | w for v, w in zip(vals, (bits[:, cols] @ place).tolist())]
+        xi[start:start + len(bits)] = vals
+    return xi
 
 
 def pipeline_sample(

@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special
 
 from .objectives import (
     ObjectiveSpec,
@@ -248,6 +247,8 @@ def _blocked_sums(
 
 def _ball_marginal_norm(d: int) -> float:
     # integral of (1 - t^2)^((d-1)/2) over [-1, 1]
+    from scipy import special  # scipy loads only for closed-form f_delta
+
     return float(special.beta(0.5, (d + 1) / 2.0))
 
 
@@ -263,6 +264,8 @@ def _sawtooth_coord_smoothed(xi: float, delta: float, d: int) -> float:
     def integrand(t: float) -> float:
         u = xi + delta * t
         return abs(u - round(u)) * (1.0 - t * t) ** e
+
+    from scipy import integrate
 
     val, _ = integrate.quad(integrand, -1.0, 1.0, points=kinks or None, limit=200)
     return val / _ball_marginal_norm(d)
@@ -298,6 +301,8 @@ def f_delta(
             # t^2 is Beta(1/2, a)-distributed, a = (d + 1) / 2
             a = (spec.d + 1) / 2.0
             s = (c / delta) ** 2
+            from scipy import special
+
             return (abs(c) * float(special.betainc(0.5, a, s))
                     + 2.0 * delta * (1.0 - s) ** a / ((spec.d + 1) * _ball_marginal_norm(spec.d)))
         # sawtooth: expectation splits per coordinate; each coordinate of a

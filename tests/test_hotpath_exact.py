@@ -881,9 +881,9 @@ def _pipeline_batch_whole(layout, n, rng):
     return xi, W, valid
 
 
-# 10,001 rows at d=8: two full blocks and a partial one; m2=2 makes invalid rows, m1=63
-# takes the object-xi path
-@pytest.mark.parametrize("m1,m2", [(8, 2), (8, 256), (63, 3)])
+# 10,001 rows at d=8: two full blocks and a partial one; m2=2 makes invalid rows, m1 > 62
+# takes the object-xi path (xi packed from one, two or three 62-bit words per row)
+@pytest.mark.parametrize("m1,m2", [(8, 2), (8, 256), (63, 3), (64, 2), (124, 3), (130, 3)])
 def test_pipeline_batch_blocks_match_whole_draws(m1, m2):
     layout = RegisterLayout(m1=m1, m2=m2, d=8)
     n = 10_001

@@ -155,3 +155,68 @@ def test_import_path_leaves_scipy_stats_unloaded():
     proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                           text=True, check=True)
     assert proc.stdout.strip() == "False"
+
+
+def _run_fresh(code, pythonpath):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(map(str, pythonpath))}
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+
+
+def test_optimizer_run_loads_no_scipy():
+    # a qgfm cell with its residual needs no closed-form f_delta, no quadratic exact
+    # distance and no circuit-demo, the only calls that load scipy
+    probe = (
+        "import sys, qzopt, qzopt.cli\n"
+        "from qzopt import harness\n"
+        "cfg = harness.ExperimentConfig(algorithm='qgfm', problem='abs-linear', d=8,\n"
+        "                               eps_grid=(0.6,), seeds=(0,), delta=0.3, noise_scale=0.1)\n"
+        "row = harness.run_one(cfg, harness.build_spec(cfg), 0.6, 0)\n"
+        "assert row.residual_halfwidth > 0, row\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    proc = _run_fresh(probe, [SRC.parent])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def module_level_imports(source: str) -> list[str]:
+    """Modules imported by statements that run when the module loads: those
+    outside any function body (class bodies and if/try blocks run)."""
+    out = []
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if isinstance(child, ast.Import):
+                out.extend(alias.name for alias in child.names)
+            elif isinstance(child, ast.ImportFrom) and not child.level:
+                out.append(child.module)
+            visit(child)
+
+    visit(ast.parse(source))
+    return out
+
+
+def test_scan_finds_module_level_imports():
+    src = ("import numpy as np\nfrom scipy import special\nfrom .rng import substream\n"
+           "try:\n    import scipy.stats\nexcept ImportError:\n    pass\n"
+           "class A:\n    import math\n\ndef f():\n    from scipy import optimize\n")
+    assert module_level_imports(src) == ["numpy", "scipy", "scipy.stats", "math"]
+
+
+@pytest.mark.parametrize("path", ALL_FILES, ids=[p.name for p in ALL_FILES])
+def test_no_module_level_scipy_import(path):
+    # scipy costs about 0.4 s and 40 MB per interpreter; import it where it is called
+    assert [m for m in module_level_imports(path.read_text())
+            if m.split(".")[0] == "scipy"] == []
+
+
+def test_old_numpy_fails_at_import(tmp_path):
+    stub = tmp_path / "numpy"
+    stub.mkdir()
+    (stub / "__init__.py").write_text('__version__ = "1.26.4"\n')
+    proc = _run_fresh("import qzopt", [tmp_path, SRC.parent])
+    assert proc.returncode != 0
+    assert proc.stderr.strip().splitlines()[-1] == (
+        "ImportError: qzopt needs numpy>=2.0; found numpy 1.26.4")

@@ -163,7 +163,53 @@ def test_interval_verdict_boundaries_agree(monkeypatch, estimate, half_width, ep
 
 @pytest.mark.parametrize("confidence", [0.5, 0.8, 0.9, 0.95, 0.99, 0.999])
 def test_ndtri_is_norm_ppf_bit_for_bit(confidence):
-    # goldstein_residual's z-value calls special.ndtri in place of stats.norm.ppf
+    # goldstein_residual's z has special.ndtri's bytes (port test below), which are norm.ppf's
     d = np.arange(1, 2049)
     q = 1.0 - (1.0 - confidence) / (2.0 * d)
     assert np.array_equal(special.ndtri(q), stats.norm.ppf(q))
+
+
+def _ulps_around(v, k=8):
+    """v and the k floats on each side of it."""
+    out = [v]
+    lo = hi = v
+    for _ in range(k):
+        lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+        out += [lo, hi]
+    return out
+
+
+def _tail_x(y):
+    return math.sqrt(-2.0 * math.log(y))
+
+
+def test_ndtri_port_matches_scipy_bit_for_bit():
+    rng = np.random.default_rng(20240611)
+    bulk = np.concatenate([
+        rng.uniform(0.0, 1.0, 40_000),                  # mostly the central branch
+        10.0 ** rng.uniform(-323.0, -0.87, 40_000),    # lower tails, both branches
+        1.0 - 10.0 ** rng.uniform(-16.0, -0.87, 40_000),  # upper tails, both branches
+    ])
+    switch = 1.0 - st_mod._EXP_M2
+    x8 = math.exp(-32.0)  # near the switch at sqrt(-2 log y) = 8; find the float where it falls
+    while _tail_x(x8) < 8.0:
+        x8 = math.nextafter(x8, 0.0)
+    while _tail_x(x8) >= 8.0:
+        x8 = math.nextafter(x8, 1.0)
+    edges = (_ulps_around(switch) + _ulps_around(st_mod._EXP_M2) + _ulps_around(x8)
+             + _ulps_around(1.0 - x8) + [5e-324, 1.0 - 2.0**-53, 0.5])
+    conf = np.array([0.9, 0.95, 0.99, 0.999])[:, None]
+    residual_z = (1.0 - (1.0 - conf) / (2.0 * np.arange(1, 5000))).ravel()
+    special_values = [0.0, 1.0, math.nan, -0.25, 1.25, -math.inf, math.inf]
+    y = np.concatenate([bulk, edges, residual_z, special_values])
+    got = np.array([st_mod._ndtri(float(v)) for v in y])
+    with np.errstate(invalid="ignore"):
+        want = special.ndtri(y)
+    nan = np.isnan(want)  # nan payloads and signs carry no meaning; all else compares by bytes
+    assert np.array_equal(np.isnan(got), nan) and nan.sum() == 5
+    assert got[~nan].tobytes() == want[~nan].tobytes()
+    # the points around x8 reach both tail branches
+    tail = [_tail_x(v) for v in _ulps_around(x8)]
+    assert min(tail) < 8.0 <= max(tail)
+    assert st_mod._ndtri(0.0) == -math.inf and st_mod._ndtri(1.0) == math.inf
+    assert all(math.isnan(st_mod._ndtri(v)) for v in (math.nan, -0.25, 1.25))
