@@ -22,7 +22,6 @@ from .objectives import (
     catalog_make,
     eval_F,
     eval_f,
-    eval_grad_smooth,
     sample_xi,
 )
 from .smoothing import (
@@ -30,7 +29,6 @@ from .smoothing import (
     f_delta,
     g_delta,
     grad_f_delta_ref,
-    sample_ball,
     sample_sphere,
 )
 from .oracles import (
@@ -41,8 +39,6 @@ from .oracles import (
     estimate_grad_diff,
     estimate_sgrad,
     estimate_sgrad_diff,
-    o_delta_g,
-    o_g_delta,
     quantum_mean_cost,
 )
 from .stationarity import (

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .objectives import ObjectiveSpec
+from .objectives import ObjectiveSpec, _finite_point
 from .oracles import (
     CostModel,
     QueryLedger,
@@ -276,16 +276,7 @@ def _finish(
         )
     else:
         # Smooth track: the gradient is available exactly, no sampling error.
-        grad_norm = float(np.linalg.norm(spec.lambdas * x_out))
-        residual = ResidualReport(
-            point=x_out,
-            delta=0.0,
-            estimate=grad_norm,
-            half_width=0.0,
-            n=0,
-            confidence=1.0,
-            exact=grad_norm,
-        )
+        residual = ResidualReport(float(np.linalg.norm(spec.lambdas * x_out)), 0.0, 0, 1.0)
     return RunResult(
         algorithm=algorithm,
         seed=seed,
@@ -311,15 +302,6 @@ def _step_len(x_next: np.ndarray, x: np.ndarray) -> float:
     return math.sqrt(v.dot(v))
 
 
-def _as_point(spec: ObjectiveSpec, x0: np.ndarray) -> np.ndarray:
-    x = np.asarray(x0, dtype=float).copy()
-    if x.shape != (spec.d,):
-        raise ValueError(f"x0 must have shape ({spec.d},)")
-    if not np.isfinite(x).all():
-        raise ValueError("x0 must be finite")
-    return x
-
-
 def _recursion(
     algorithm: str, spec: ObjectiveSpec, x0: np.ndarray, params: QgfmPlusParams,
     smoothing: SmoothingParams | None, model: CostModel, seed: int, fresh, diff,
@@ -332,7 +314,7 @@ def _recursion(
     selects the gradient-oracle budget counter and the exact residual and
     phi, leaving residual_n, residual_confidence and trace_ref_n unused.
     """
-    x = _as_point(spec, x0)
+    x = _finite_point(spec, x0).copy()
     sigma1 = math.sqrt(params.sigma1_sq)
     est_rng = substream(seed, "est")
     ledger = QueryLedger()
@@ -389,7 +371,7 @@ def qgfm(
     trace_ref_n: int = 2000,
 ) -> RunResult:
     """Plain smoothed-surrogate descent; returns a uniform iterate."""
-    x = _as_point(spec, x0)
+    x = _finite_point(spec, x0).copy()
     sigma1 = math.sqrt(params.sigma1_sq)
     est_rng = substream(seed, "est")
     ledger = QueryLedger()

@@ -106,16 +106,11 @@ class StateVector:
 
 @dataclass
 class SampleOutcome:
-    """One decoded draw; w is None when the zero-vector outcome occurred.
-
-    rejections counts invalid draws discarded before this one (only the
-    resampling pipeline mode makes it nonzero).
-    """
+    """One decoded draw; w is None when the zero-vector outcome occurred."""
 
     xi: int
     w: np.ndarray | None
     valid: bool
-    rejections: int = 0
 
 
 @dataclass
@@ -292,29 +287,15 @@ def _xi_from_bits(m1: int, n: int, rng: np.random.Generator) -> np.ndarray:
     return xi
 
 
-def pipeline_sample(
-    layout: RegisterLayout,
-    rng: np.random.Generator,
-    *,
-    resample: bool = False,
-    max_tries: int = 10000,
-) -> SampleOutcome:
-    """One classical draw of (xi, w).
+def pipeline_sample(layout: RegisterLayout, rng: np.random.Generator) -> SampleOutcome:
+    """One classical draw of (xi, w), a one-row pipeline_sample_batch.
 
-    By default invalid outcomes are reported, keeping the output
-    distribution exactly equal to measure_sample's.  With resample=True
-    invalid draws are discarded and counted in the outcome's rejections
-    field (the conditional-on-valid distribution).
+    Invalid outcomes are reported, keeping the output distribution exactly
+    equal to measure_sample's.
     """
-    rejections = 0
-    for _ in range(max_tries):
-        xi, W, valid = pipeline_sample_batch(layout, 1, rng)
-        if valid[0]:
-            return SampleOutcome(xi=int(xi[0]), w=W[0], valid=True, rejections=rejections)
-        if not resample:
-            return SampleOutcome(xi=int(xi[0]), w=None, valid=False)
-        rejections += 1
-    raise RuntimeError(f"no valid sample in {max_tries} tries")
+    xi, W, valid = pipeline_sample_batch(layout, 1, rng)
+    ok = bool(valid[0])
+    return SampleOutcome(xi=int(xi[0]), w=W[0] if ok else None, valid=ok)
 
 
 def invalid_probability(layout: RegisterLayout) -> float:

@@ -152,8 +152,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     spec = catalog_make(args.problem, args.d)
     params = SmoothingParams(args.delta)
     seed = args.seed if args.seed is not None else 0
-    report = goldstein_residual(spec, point, params, 20000, 0.95, substream(seed, "residual"))
+    # the verdict first: it rejects a bad eps before any draw (the substreams are separate)
     verdict = verify_stationary(spec, point, params, args.eps, 0.95, substream(seed, "verify"))
+    report = goldstein_residual(spec, point, params, 20000, 0.95, substream(seed, "residual"))
     print(f"residual estimate {report.estimate:.6g} +- {report.half_width:.6g} "
           f"(n={report.n}, confidence {report.confidence})")
     exact = exact_goldstein_distance(spec, point, args.delta)

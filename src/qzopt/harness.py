@@ -102,6 +102,8 @@ class ExperimentConfig:
         for s in self.seeds:
             if not isinstance(s, int) or s < 0:
                 raise ConfigError("seeds must be non-negative integers")
+        if not 0.0 <= self.noise_scale < math.inf:
+            raise ConfigError("noise_scale must be non-negative and finite")
         if self.algorithm != "qgm_plus" and not self.delta > 0:
             raise ConfigError(f"{self.algorithm} requires delta > 0")
         if self.budget < 1:

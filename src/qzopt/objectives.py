@@ -71,7 +71,6 @@ __all__ = [
     "catalog_make",
     "eval_F",
     "eval_f",
-    "eval_grad_smooth",
     "sample_xi",
 ]
 
@@ -125,8 +124,8 @@ class ObjectiveSpec:
             raise ValueError("L must be positive")
         if self.noise_kind not in NOISE_KINDS:
             raise ValueError(f"unknown noise_kind {self.noise_kind!r}")
-        if self.noise_scale < 0:
-            raise ValueError("noise_scale must be non-negative")
+        if not 0.0 <= self.noise_scale < math.inf:
+            raise ValueError("noise_scale must be non-negative and finite")
 
 
 def catalog_make(
@@ -144,8 +143,6 @@ def catalog_make(
     """
     if not isinstance(d, (int, np.integer)) or d < 1:
         raise ValueError("d must be a positive integer")
-    if noise_scale < 0:
-        raise ValueError("noise_scale must be non-negative")
     if noise_kind is None:
         noise_kind = "additive-offset" if noise_scale > 0 else "none"
     if noise_kind not in NOISE_KINDS:
@@ -397,14 +394,3 @@ def _payload_rows(spec: ObjectiveSpec, xi: XiSample):
     if spec.name == "quadratic-smooth":
         return np.asarray(xi.payload, dtype=float)[None, :]
     return np.asarray([xi.payload], dtype=float)
-
-
-def eval_grad_smooth(spec: ObjectiveSpec, x: np.ndarray, xi: XiSample) -> np.ndarray:
-    """Stochastic gradient of the smooth problem: diag(lam) x + r."""
-    if spec.smooth_params is None:
-        raise ValueError(f"{spec.name!r} exposes no smooth gradient oracle")
-    x = _check_point(spec, x)
-    g = spec.lambdas * x
-    if xi.payload is not None:
-        g = g + np.asarray(xi.payload, dtype=float)
-    return g

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .objectives import ObjectiveSpec, _check_point, _sample_xi_batch
-from .smoothing import SmoothingParams, _g_delta_mean, _g_delta_rows, _sphere_batch
+from .smoothing import SmoothingParams, _g_delta_mean
 
 __all__ = [
     "CostModel",
@@ -37,8 +37,6 @@ __all__ = [
     "estimate_grad_diff",
     "estimate_sgrad",
     "estimate_sgrad_diff",
-    "o_delta_g",
-    "o_g_delta",
     "quantum_mean_cost",
 ]
 
@@ -101,51 +99,6 @@ class QueryLedger:
 class GradEstimate:
     value: np.ndarray
     queries_charged: int
-
-
-# ---------------------------------------------------------------------------
-# single-draw oracles
-
-
-def o_g_delta(
-    spec: ObjectiveSpec,
-    x: np.ndarray,
-    params: SmoothingParams,
-    rng: np.random.Generator,
-    ledger: QueryLedger,
-    model: CostModel | None = None,
-    phase: str | None = None,
-) -> np.ndarray:
-    """One two-point draw; costs exactly 2 queries."""
-    model = model or CostModel()
-    x = _check_point(spec, x)
-    W = _sphere_batch(spec.d, 1, rng)
-    payload = _sample_xi_batch(spec, 1, rng)
-    g = _g_delta_rows(spec, x, params.delta, W, payload)[0]
-    _charge(ledger, model, phase, 2, 2)
-    return g
-
-
-def o_delta_g(
-    spec: ObjectiveSpec,
-    x: np.ndarray,
-    y: np.ndarray,
-    params: SmoothingParams,
-    rng: np.random.Generator,
-    ledger: QueryLedger,
-    model: CostModel | None = None,
-    phase: str | None = None,
-) -> np.ndarray:
-    """One shared-draw difference g_delta(x;w,xi) - g_delta(y;w,xi); 4 queries."""
-    model = model or CostModel()
-    x = _check_point(spec, x)
-    y = _check_point(spec, y)
-    W = _sphere_batch(spec.d, 1, rng)
-    payload = _sample_xi_batch(spec, 1, rng)
-    gx = _g_delta_rows(spec, x, params.delta, W, payload)[0]
-    gy = _g_delta_rows(spec, y, params.delta, W, payload)[0]
-    _charge(ledger, model, phase, 4, 4)
-    return gx - gy
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,6 @@ __all__ = [
     "f_delta",
     "g_delta",
     "grad_f_delta_ref",
-    "sample_ball",
     "sample_sphere",
 ]
 
@@ -60,8 +59,8 @@ class SmoothingParams:
     delta: float
 
     def __post_init__(self) -> None:
-        if not self.delta > 0:
-            raise ValueError("delta must be positive")
+        if not 0.0 < self.delta < math.inf:
+            raise ValueError("delta must be positive and finite")
 
 
 def sample_sphere(d: int, rng: np.random.Generator) -> np.ndarray:
@@ -73,12 +72,6 @@ def sample_sphere(d: int, rng: np.random.Generator) -> np.ndarray:
         n = np.linalg.norm(v)
         if n > 0.0:
             return v / n
-
-
-def sample_ball(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform point in the closed unit ball in R^d."""
-    w = sample_sphere(d, rng)
-    return w * rng.uniform() ** (1.0 / d)
 
 
 def _sphere_batch(d: int, n: int, rng: np.random.Generator, more: int = 0) -> np.ndarray:

@@ -122,12 +122,6 @@ def test_pipeline_sample_modes():
     frac_invalid = np.mean([not o.valid for o in outs])
     assert 0.2 < frac_invalid < 0.3
     assert all(o.w is None for o in outs if not o.valid)
-    rng2 = substream(0, "psr")
-    outs2 = [qz.pipeline_sample(lay, rng2, resample=True) for _ in range(100)]
-    assert all(o.valid for o in outs2)
-    assert sum(o.rejections for o in outs2) > 0
-    with pytest.raises(RuntimeError):
-        qz.pipeline_sample(lay, substream(0, "psx"), resample=True, max_tries=0)
 
 
 def test_measure_sample_norm_guard():

@@ -3,6 +3,7 @@ import sys
 
 import pytest
 
+from qzopt import stationarity
 from qzopt.cli import main
 from test_smoothing import _peak_bytes
 
@@ -160,6 +161,20 @@ def test_verify_non_finite_point_exits_2(point, capsys):
     captured = capsys.readouterr()
     assert "error:" in captured.err and "finite" in captured.err
     assert "verdict" not in captured.out
+
+
+@pytest.mark.parametrize("delta,eps", [("inf", "0.2"), ("0.3", "nan")])
+def test_verify_non_finite_delta_or_eps_exits_2(delta, eps, monkeypatch, capsys):
+    # both used to run to the 10^7-draw cap and exit 0 with a nan residual
+    def no_draws(*args, **kwargs):
+        raise AssertionError("verify drew before rejecting its input")
+
+    monkeypatch.setattr(stationarity, "_g_delta_mean", no_draws)
+    assert main(["verify", "--problem", "abs-linear", "--d", "2", "--point", "0.01,0.02",
+                 "--delta", delta, "--eps", eps]) == 2
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and "finite" in captured.err
+    assert captured.out == ""
 
 
 def test_module_entry_point(config_path):

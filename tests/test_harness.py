@@ -92,6 +92,10 @@ def test_config_mapping_errors():
         config_from_mapping({**base, "eps": "tiny"})
     with pytest.raises(ConfigError, match="must be a boolean"):
         config_from_mapping({**base, "timings": "maybe"})
+    for bad in ("nan", "inf", "-0.1"):
+        # noise_scale = nan used to run noise-free and exit 0
+        with pytest.raises(ConfigError, match="noise_scale must be non-negative and finite"):
+            config_from_mapping({**base, "noise_scale": bad})
 
 
 def test_config_cost_model_keys():

@@ -1,5 +1,6 @@
 """Every name a library module imports is used there or re-exported,
-and every name a module lists in ``__all__`` is bound there.
+every name a module lists in ``__all__`` is bound there, and every name
+the package re-exports is loaded by the library, a demo or the benchmark.
 
 A static scan with the standard library's ``ast``: an imported name
 counts as used when the module loads it anywhere (annotations included,
@@ -146,6 +147,75 @@ def test_scan_finds_an_unreferenced_private_name():
 
 def test_private_names_are_referenced():
     assert unreferenced_private_names({p.stem: p.read_text() for p in ALL_FILES}) == []
+
+
+def _binds(top, name) -> bool:
+    """Whether the top-level statement defines name."""
+    if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return top.name == name
+    if isinstance(top, (ast.Assign, ast.AnnAssign)):
+        targets = top.targets if isinstance(top, ast.Assign) else [top.target]
+        return any(isinstance(n, ast.Name) and n.id == name for t in targets for n in ast.walk(t))
+    return False
+
+
+def _loads(node) -> set[str]:
+    """Names loaded and attributes read anywhere under node."""
+    out = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+    return out
+
+
+def unloaded_exports(init: str, modules: dict[str, str], programs: list[str]) -> list[str]:
+    """Names the package ``__init__`` re-exports (``from .mod import name``) that no
+    code loads outside their own definition: no statement of ``modules`` (module
+    name -> text) but the one defining the name, and none of the ``programs`` texts.
+
+    A load is a loaded name or an attribute; imports and ``__all__`` strings are not.
+    """
+    program_loads = set().union(*(_loads(ast.parse(text)) for text in programs))
+    tops = [(mod, top, _loads(top)) for mod, text in modules.items()
+            for top in ast.parse(text).body]
+    out = []
+    for node in ast.parse(init).body:
+        if not (isinstance(node, ast.ImportFrom) and node.level == 1):
+            continue
+        for name in (alias.name for alias in node.names):
+            if name in program_loads or any(
+                    name in loads for mod, top, loads in tops
+                    if not (mod == node.module and _binds(top, name))):
+                continue
+            out.append(name)
+    return out
+
+
+def test_scan_finds_an_unloaded_export():
+    init = "from .a import used, loop, STALE, by_demo\nfrom .b import helper\n"
+    modules = {
+        "a": "STALE = 1\n__all__ = ['STALE']\n\ndef used(): ...\n\n"
+             "def loop(n):\n    return loop(n - 1)\n\ndef by_demo(): ...\n",
+        "b": "from .a import used\n\ndef helper():\n    return used()\n",
+    }
+    demo = "import pkg\nfrom pkg import helper\n\npkg.by_demo()\n"
+    assert unloaded_exports(init, modules, [demo]) == ["loop", "STALE", "helper"]
+
+
+# reference definitions: the tests check the batched fast paths against them, and no
+# program path calls them
+TEST_REFERENCES = ("eval_F", "g_delta", "sample_sphere")
+
+
+def test_every_export_is_loaded_by_a_program():
+    root = SRC.parent.parent
+    programs = [p.read_text() for sub in ("demos", "perfbench")
+                for p in sorted((root / sub).rglob("*.py"))]
+    got = unloaded_exports((SRC / "__init__.py").read_text(),
+                           {p.stem: p.read_text() for p in ALL_FILES}, programs)
+    assert [name for name in got if name not in TEST_REFERENCES] == []
 
 
 def test_import_path_leaves_scipy_stats_unloaded():

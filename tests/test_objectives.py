@@ -5,11 +5,14 @@ import pytest
 
 from qzopt import (
     CATALOG_NAMES,
+    CostModel,
+    ObjectiveSpec,
+    QueryLedger,
     XiSample,
     catalog_make,
+    estimate_sgrad,
     eval_F,
     eval_f,
-    eval_grad_smooth,
     sample_xi,
     substream,
 )
@@ -59,6 +62,14 @@ def test_catalog_rejects_bad_args():
         catalog_make("sawtooth", 0)
     with pytest.raises(ValueError):
         catalog_make("sawtooth", 2, noise_scale=-0.1)
+    for name in CATALOG_NAMES:
+        for bad in (math.nan, math.inf):
+            # nan used to build a noise-free problem (L = nan on the quadratic)
+            with pytest.raises(ValueError, match="noise_scale must be non-negative and finite"):
+                catalog_make(name, 2, noise_scale=bad)
+    with pytest.raises(ValueError, match="noise_scale"):
+        ObjectiveSpec(name="sawtooth", d=2, L=1.0, noise_kind="none", noise_scale=math.nan,
+                      f_star=0.0, delta_0=0.0, x0=np.zeros(2))
     with pytest.raises(ValueError):
         catalog_make("abs-linear", 2, direction=np.zeros(2))
     with pytest.raises(ValueError):
@@ -152,21 +163,25 @@ def test_f_star_is_a_true_lower_bound():
         assert _f_rows(spec, X).min() >= spec.f_star - 1e-12
 
 
+def _one_sgrad_draw(spec, x, rng):
+    # sigma_hat = 1 is the noisy problem's sigma, so each estimate is one oracle draw
+    est = estimate_sgrad(spec, x, 1.0, CostModel(mode="classical"), rng, QueryLedger())
+    assert est.queries_charged == 1
+    return est.value
+
+
 def test_smooth_gradient_oracle():
     spec = catalog_make("quadratic-smooth", 2)
-    np.testing.assert_allclose(
-        eval_grad_smooth(spec, np.array([1.0, 1.0]), XiSample(None)), [1.0, 2.0])
-    np.testing.assert_array_equal(
-        eval_grad_smooth(spec, np.zeros(2), XiSample(None)), [0.0, 0.0])
+    rng = substream(14, "sgrad")
+    np.testing.assert_allclose(_one_sgrad_draw(spec, np.array([1.0, 1.0]), rng), [1.0, 2.0])
+    np.testing.assert_array_equal(_one_sgrad_draw(spec, np.zeros(2), rng), [0.0, 0.0])
     with pytest.raises(ValueError):
-        eval_grad_smooth(catalog_make("sawtooth", 2), np.zeros(2), XiSample(None))
+        _one_sgrad_draw(catalog_make("sawtooth", 2), np.zeros(2), rng)
 
     noisy = catalog_make("quadratic-smooth", 2, noise_scale=1.0)
     assert noisy.smooth_params == (2.0, 1.0)
-    rng = substream(14, "sgrad")
     x = np.array([0.3, -0.7])
-    draws = np.array([eval_grad_smooth(noisy, x, sample_xi(noisy, rng))
-                      for _ in range(10**4)])
+    draws = np.array([_one_sgrad_draw(noisy, x, rng) for _ in range(10**4)])
     se = draws.std(axis=0, ddof=1) / math.sqrt(len(draws))
     assert np.all(np.abs(draws.mean(axis=0) - noisy.lambdas * x) <= 3 * se)
     # bounded noise: per-draw deviation norm is exactly sigma

@@ -13,8 +13,6 @@ from qzopt import (
     estimate_sgrad,
     estimate_sgrad_diff,
     grad_f_delta_ref,
-    o_delta_g,
-    o_g_delta,
     quantum_mean_cost,
     substream,
 )
@@ -61,64 +59,32 @@ def test_phase_tags_sum_to_totals():
     assert tuple(sums) == (led.uf_queries, led.classical_queries, led.grad_oracle_queries)
 
 
-def test_single_draw_charges():
-    spec = catalog_make("constant", 3)
-    led = QueryLedger()
-    rng = substream(1, "draws")
-    g = o_g_delta(spec, np.zeros(3), SM, rng, led)
-    np.testing.assert_array_equal(g, np.zeros(3))
-    assert led.uf_queries == 2
-    o_g_delta(spec, np.zeros(3), SM, rng, led)
-    assert led.uf_queries == 4
-
-    dg = o_delta_g(spec, np.ones(3), np.zeros(3), SM, rng, led)
-    np.testing.assert_array_equal(dg, np.zeros(3))
-    assert led.uf_queries == 8
-
-    cled = QueryLedger()
-    o_g_delta(spec, np.zeros(3), SM, rng, cled, CostModel(mode="classical"))
-    assert (cled.uf_queries, cled.classical_queries) == (0, 2)
-
-
-def test_single_draw_unbiased():
-    # mean over 1e5 fresh draws vs the MC reference, 4 combined SEs
-    spec = catalog_make("abs-linear", 2)
-    x = np.array([0.05, -0.02])
-    led = QueryLedger()
-    rng = substream(2, "unb")
-    draws = np.array([o_g_delta(spec, x, SM, rng, led) for _ in range(10**5)])
-    se = draws.std(axis=0, ddof=1) / math.sqrt(len(draws))
-    ref, ref_se = grad_f_delta_ref(spec, x, SM, 4 * 10**5, substream(2, "unbref"))
-    assert np.all(np.abs(draws.mean(axis=0) - ref) <= 4 * np.sqrt(se**2 + ref_se**2))
-
-
 def test_delta_g_shares_the_draw():
     spec = catalog_make("sawtooth", 3, noise_scale=0.2)
     x, y = np.array([0.3, 0.1, 0.7]), np.array([0.2, 0.4, 0.6])
-    led = QueryLedger()
-    got = o_delta_g(spec, x, y, SM, substream(3, "shared"), led)
+    # sigma_hat this large floors the batch at one draw
+    got = estimate_grad_diff(spec, x, y, SM, 100.0, CostModel(), substream(3, "shared"),
+                             QueryLedger())
     # replay the identical stream by hand: same (w, xi) must be reused
     rng = substream(3, "shared")
     W = _sphere_batch(3, 1, rng)
     payload = _sample_xi_batch(spec, 1, rng)
     want = (_g_delta_rows(spec, x, SM.delta, W, payload)
             - _g_delta_rows(spec, y, SM.delta, W, payload))[0]
-    np.testing.assert_array_equal(got, want)
-    np.testing.assert_array_equal(
-        o_delta_g(spec, x, x, SM, substream(3, "shared"), led), np.zeros(3))
+    np.testing.assert_array_equal(got.value, want)
 
 
-def test_single_draw_oracles_reject_wrong_shape_points():
+def test_estimators_reject_wrong_shape_points():
     spec = catalog_make("sawtooth", 3, noise_scale=0.2)
     x = np.array([0.3, 0.1, 0.7])
     rng, led = substream(3, "shape"), QueryLedger()
     state = rng.bit_generator.state
     with pytest.raises(ValueError):
-        o_g_delta(spec, np.array([0.5]), SM, rng, led)
+        estimate_grad(spec, np.array([0.5]), SM, 0.5, CostModel(), rng, led)
     with pytest.raises(ValueError):
-        o_delta_g(spec, x, 0.2, SM, rng, led)
+        estimate_grad_diff(spec, x, 0.2, SM, 0.5, CostModel(), rng, led)
     with pytest.raises(ValueError):
-        o_delta_g(spec, np.ones((1, 3)), x, SM, rng, led)
+        estimate_grad_diff(spec, np.ones((1, 3)), x, SM, 0.5, CostModel(), rng, led)
     assert rng.bit_generator.state == state
     assert led == QueryLedger()
 
@@ -140,7 +106,9 @@ def test_estimate_grad_charges_and_floor():
     # certified batch coefficient for the catalog entry is 1.0, so
     # sigma_hat >= L*sqrt(d) floors the batch at a single draw
     est = estimate_grad(spec, spec.x0, SM, 2.0 * 2.0, CostModel(), substream(4, "floor"), led)
-    single = o_g_delta(spec, spec.x0, SM, substream(4, "floor"), QueryLedger())
+    rng = substream(4, "floor")
+    W = _sphere_batch(4, 1, rng)
+    single = _g_delta_rows(spec, spec.x0, SM.delta, W, _sample_xi_batch(spec, 1, rng))[0]
     np.testing.assert_array_equal(est.value, single)
     assert led.uf_queries == 2
 

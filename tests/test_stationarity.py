@@ -29,7 +29,7 @@ def test_report_validation():
     with pytest.raises(ValueError):
         goldstein_residual(spec, np.zeros(3), SM, 100, 0.95, rng)
     rep = goldstein_residual(spec, np.zeros(2), SM, 500, 0.9, rng)
-    assert rep.n == 500 and rep.confidence == 0.9 and rep.delta == SM.delta
+    assert rep.n == 500 and rep.confidence == 0.9
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -40,6 +40,17 @@ def test_non_finite_point_raises(bad):
         goldstein_residual(spec, point, SM, 100, 0.95, substream(0, "nf"))
     with pytest.raises(ValueError, match="finite"):
         verify_stationary(spec, point, SM, 0.1, 0.95, substream(0, "nf"))
+
+
+@pytest.mark.parametrize("eps", [math.nan, math.inf, 0.0, -0.1])
+def test_verify_rejects_bad_eps_before_any_draw(eps):
+    # nan used to pass the eps <= 0 check and double n up to the 10^7-draw cap
+    rng = substream(0, "eps")
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="eps must be positive and finite"):
+        verify_stationary(catalog_make("abs-linear", 2), np.array([0.01, 0.02]), SM, eps,
+                          0.95, rng)
+    assert rng.bit_generator.state == state
 
 
 @pytest.mark.parametrize("problem,d", [("constant", 2), ("abs-linear", 2), ("sawtooth", 1),
@@ -55,9 +66,9 @@ def test_exact_distance_rejects_non_finite_point(problem, d, bad):
 def test_residual_far_from_kink():
     # gradient norm is exactly 1 out there; the estimate must cover it
     spec = catalog_make("abs-linear", 2, direction=np.array([1.0, 0.0]))
-    rep = goldstein_residual(spec, np.array([3.0, 0.0]), SM, 10**5, 0.95,
-                             substream(5, "resA"))
-    assert rep.exact == 1.0
+    x = np.array([3.0, 0.0])
+    rep = goldstein_residual(spec, x, SM, 10**5, 0.95, substream(5, "resA"))
+    assert exact_goldstein_distance(spec, x, SM.delta) == 1.0
     assert abs(rep.estimate - 1.0) <= rep.half_width
     assert rep.half_width < 0.01
 
@@ -66,7 +77,8 @@ def test_residual_at_symmetric_kink_is_exact_zero():
     spec = catalog_make("sawtooth", 1)
     rep = goldstein_residual(spec, np.zeros(1), SmoothingParams(0.25), 10**5, 0.95,
                              substream(5, "resB"))
-    assert rep.estimate == 0.0 and rep.half_width == 0.0 and rep.exact == 0.0
+    assert rep.estimate == 0.0 and rep.half_width == 0.0
+    assert exact_goldstein_distance(spec, np.zeros(1), 0.25) == 0.0
 
 
 def test_exact_distance_abs_linear_and_sawtooth():
@@ -110,7 +122,8 @@ def test_residual_soundness_probes():
         delta = float(prng.uniform(0.05, 0.5))
         r = goldstein_residual(spec, x, SmoothingParams(delta), 2000, 0.95,
                                substream(6, "soundr", k))
-        if r.exact is not None and r.estimate + r.half_width < r.exact - 1e-9:
+        exact = exact_goldstein_distance(spec, x, delta)
+        if exact is not None and r.estimate + r.half_width < exact - 1e-9:
             viol += 1
     assert viol == 0
 
@@ -151,8 +164,8 @@ def test_verify_stationary_inconclusive_at_threshold(monkeypatch):
     (0.5, 0.125, 0.375, "inconclusive"),  # estimate - half_width == eps
 ])
 def test_interval_verdict_boundaries_agree(monkeypatch, estimate, half_width, eps, want):
-    report = st_mod.ResidualReport(point=np.zeros(2), delta=SM.delta, estimate=estimate,
-                                   half_width=half_width, n=2, confidence=0.95)
+    report = st_mod.ResidualReport(estimate=estimate, half_width=half_width, n=2,
+                                   confidence=0.95)
     assert st_mod._interval_verdict(report, eps) == want
     run = types.SimpleNamespace(budget_exceeded=False, residual=report)
     assert harness._verdict(run, eps) == want
