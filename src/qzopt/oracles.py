@@ -60,8 +60,8 @@ class CostModel:
     def __post_init__(self) -> None:
         if self.mode not in COST_MODES:
             raise ValueError(f"unknown cost mode {self.mode!r}")
-        if self.c_q <= 0:
-            raise ValueError("c_q must be positive")
+        if not (math.isfinite(self.c_q) and self.c_q > 0):
+            raise ValueError("c_q must be positive and finite")
         if self.log_k < 0:
             raise ValueError("log_k must be non-negative")
 

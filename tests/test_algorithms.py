@@ -190,6 +190,22 @@ def test_budget_abort():
                CostModel(mode="classical"), 0, budget=5000)
     assert res.budget_exceeded
     assert res.ledger.classical_queries == 6400
+    # (1/2, ..., 1/2) is reflection-fixed, so the run above never moves; from a moving
+    # start a p = 1 qgfm_plus run, whose eager init refresh hits the same budget one
+    # step earlier, must end elsewhere
+    x0 = np.array([0.3, 0.1, -0.2, 0.4])
+    res = qgfm(sspec, x0, bp, SmoothingParams(0.1), CostModel(mode="classical"), 0,
+               budget=5000)
+    assert res.budget_exceeded
+    assert res.ledger == QueryLedger(classical_queries=6400,
+                                     phase_tags={"refresh": (0, 6400, 0)})
+    assert not np.array_equal(res.x_out, x0)
+    pp = QgfmPlusParams(eta=bp.eta, T=bp.T, p=1.0, sigma1_sq=bp.sigma1_sq, kappa=5.0)
+    early = qgfm_plus(sspec, x0, pp, SmoothingParams(0.1), CostModel(mode="classical"), 0,
+                      budget=5000)
+    assert early.budget_exceeded
+    assert early.ledger.phase_tags == {"init": (0, 1600, 0), "refresh": (0, 4800, 0)}
+    assert not np.array_equal(early.x_out, res.x_out)
 
 
 def test_x0_shape_and_missing_smooth_oracle():

@@ -1,10 +1,14 @@
+import hashlib
+import os
 import subprocess
 import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qzopt import stationarity
-from qzopt.cli import main
+from qzopt.cli import _chisquare, main
 from test_smoothing import _peak_bytes
 
 CONFIG = """\
@@ -65,6 +69,16 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert "unknown config keys" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("c_q", ["nan", "inf"])
+def test_non_finite_c_q_exits_2(c_q, tmp_path, capsys):
+    cfg = tmp_path / "cq.cfg"
+    cfg.write_text(CONFIG + f"c_q = {c_q}\n")
+    assert main(["run", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: c_q must be positive and finite\n"
+    assert captured.out == ""
+
+
 def test_budget_abort_exit_3(tmp_path, capsys):
     cfg = tmp_path / "tight.cfg"
     cfg.write_text("""\
@@ -115,6 +129,56 @@ def test_circuit_demo(capsys):
     assert "xi uniformity chi2" in out
 
 
+@pytest.mark.parametrize("counts", [
+    [0, 5], [3, 3], [7, 0, 0, 1], [1] + [0] * 1023,
+    np.random.default_rng(0).poisson(40.0, 1024), np.random.default_rng(1).poisson(0.5, 256),
+], ids=["2cells", "2equal", "4zeros", "1024single", "1024poisson", "256sparse"])
+def test_chisquare_matches_scipy_stats_bytes(counts):
+    from scipy import stats
+    counts = np.asarray(counts, dtype=np.int64)
+    stat, p = _chisquare(counts)
+    ref = stats.chisquare(counts)
+    assert np.float64(stat).tobytes() == np.float64(ref.statistic).tobytes()
+    assert np.float64(p).tobytes() == np.float64(ref.pvalue).tobytes()
+
+
+# sha256 of the stdout of `circuit-demo --m1 8 --m2 256 --n 2000`, recorded while the
+# chi2 test still called scipy.stats.chisquare
+CIRCUIT_DEMO_STDOUT = {
+    (2, 0): "456804abffe889bc35e9a802239624470d61ab2e76e8d608cea1a3ec78f943f0",
+    (2, 1): "a0a188a5dcd3d3f803e404d46429d1b42ce683790170fc07cbaf6bec97474010",
+    (8, 0): "39721ca2b3fa80c988d287582c3fa7a3c11a0ea95748ad940a415eac4d8ddf48",
+    (8, 1): "08616f5db468bd8eba291d9374c96c33003a45b08facce485f19bfbe1596df9f",
+}
+
+
+@pytest.mark.parametrize("d,seed", sorted(CIRCUIT_DEMO_STDOUT))
+def test_circuit_demo_stdout_pinned(d, seed, capsys):
+    assert main(["circuit-demo", "--m1", "8", "--m2", "256", "--d", str(d),
+                 "--seed", str(seed), "--n", "2000"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == CIRCUIT_DEMO_STDOUT[d, seed]
+
+
+def test_circuit_demo_loads_scipy_stats_only_for_ks():
+    probe = (
+        "import sys\n"
+        "from qzopt.cli import main\n"
+        "args = ['circuit-demo', '--m1', '8', '--m2', '256', '--n', '500', '--d']\n"
+        "assert main(args + ['8']) == 0\n"
+        "print('STATS', 'scipy.stats' in sys.modules)\n"
+        "assert main(args + ['3']) == 0\n"
+        "print('STATS', 'scipy.stats' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert [line for line in lines if line.startswith("STATS")] == ["STATS False", "STATS True"]
+    assert sum(line.startswith("KS w_3 vs uniform[-1,1]: D ") for line in lines) == 1
+
+
 def test_circuit_demo_wide_even_register(capsys):
     code = main(["circuit-demo", "--m1", "2", "--m2", "1024", "--d", "2", "--n", "100"])
     assert code == 0
@@ -125,7 +189,7 @@ def test_circuit_demo_peak_memory(capsys):
     # the bit sums are drawn and decoded block by block into W, and the valid rows are
     # read from W in place, so W is the only n x d array
     args = ["circuit-demo", "--m1", "8", "--m2", "256", "--d", "8", "--seed", "1", "--n"]
-    assert main(args + ["100"]) == 0  # imports scipy.stats outside the measured call
+    assert main(args + ["100"]) == 0  # imports scipy.special outside the measured call
     n, d = 200_000, 8
     peak = _peak_bytes(lambda: main(args + [str(n)]))
     assert "||w|| on valid samples" in capsys.readouterr().out

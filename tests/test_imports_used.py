@@ -219,7 +219,8 @@ def test_every_export_is_loaded_by_a_program():
 
 
 def test_import_path_leaves_scipy_stats_unloaded():
-    # scipy.stats costs about 0.45 s of CPU to import; only `qzopt circuit-demo` uses it
+    # scipy.stats costs about 0.45 s of CPU to import; only `qzopt circuit-demo` at d = 3
+    # (its KS test) uses it
     probe = "import sys, qzopt, qzopt.cli; print('scipy.stats' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
     proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
@@ -280,6 +281,49 @@ def test_no_module_level_scipy_import(path):
     # scipy costs about 0.4 s and 40 MB per interpreter; import it where it is called
     assert [m for m in module_level_imports(path.read_text())
             if m.split(".")[0] == "scipy"] == []
+
+
+def function_level_scipy_imports(source: str) -> set[str]:
+    """scipy modules imported inside function bodies: ``from scipy import special``
+    and ``from scipy.special import ndtri`` both count as ``scipy.special``."""
+    out = set()
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(func):
+            if isinstance(node, ast.Import):
+                out.update(a.name for a in node.names if a.name.split(".")[0] == "scipy")
+            elif isinstance(node, ast.ImportFrom) and node.module == "scipy":
+                out.update(f"scipy.{a.name}" for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and not node.level and (
+                    node.module.split(".")[0] == "scipy"):
+                out.add(node.module)
+    return out
+
+
+def test_scan_finds_function_level_scipy_imports():
+    src = ("from scipy import linalg\nimport numpy as np\n\n"
+           "def f():\n    from scipy import special, stats\n    import math\n\n"
+           "class A:\n    def g(self):\n        import scipy.optimize\n"
+           "        def h():\n            from scipy.integrate import quad\n"
+           "            from .rng import substream\n")
+    assert function_level_scipy_imports(src) == {
+        "scipy.special", "scipy.stats", "scipy.optimize", "scipy.integrate"}
+    assert function_level_scipy_imports("import numpy\n") == set()
+
+
+# each scipy module is a deliberate cost (scipy.stats alone is about 0.5 s of CPU and
+# 19 MB): a new one on any path must be added here on purpose
+SCIPY_ALLOWED = {
+    "cli": {"scipy.special", "scipy.stats"},
+    "smoothing": {"scipy.special", "scipy.integrate"},
+    "stationarity": {"scipy.optimize"},
+}
+
+
+def test_function_level_scipy_imports_are_the_allowed_set():
+    got = {p.stem: function_level_scipy_imports(p.read_text()) for p in ALL_FILES}
+    assert {mod: names for mod, names in got.items() if names} == SCIPY_ALLOWED
 
 
 def test_old_numpy_fails_at_import(tmp_path):

@@ -26,8 +26,9 @@ def test_cost_model_validation():
     assert CostModel().mode == "quantum"
     with pytest.raises(ValueError):
         CostModel(mode="hybrid")
-    with pytest.raises(ValueError):
-        CostModel(c_q=0.0)
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="c_q must be positive and finite"):
+            CostModel(c_q=bad)
     with pytest.raises(ValueError):
         CostModel(log_k=-1)
     assert CostModel().log_multiplier(0.01) == 1
