@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .objectives import ObjectiveSpec, _finite_point
+from .objectives import ObjectiveSpec, _check_dim, _finite_point
 from .oracles import (
     CostModel,
     QueryLedger,
@@ -142,8 +142,7 @@ def _check_positive(**kwargs: float) -> None:
 
 
 def _check_d_delta(d: int, Delta: float) -> None:
-    if d < 1:
-        raise ValueError("d must be a positive integer")
+    _check_dim(d)
     if Delta < 0 or not math.isfinite(Delta):
         raise ValueError("Delta must be non-negative and finite")
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .objectives import ObjectiveSpec, _check_point, _sample_xi_batch
+from .objectives import ObjectiveSpec, _check_dim, _check_point, _sample_xi_batch
 from .smoothing import SmoothingParams, _g_delta_mean
 
 __all__ = [
@@ -62,8 +62,10 @@ class CostModel:
             raise ValueError(f"unknown cost mode {self.mode!r}")
         if not (math.isfinite(self.c_q) and self.c_q > 0):
             raise ValueError("c_q must be positive and finite")
-        if self.log_k < 0:
-            raise ValueError("log_k must be non-negative")
+        # a float log_k would turn every ledger counter into a float, and
+        # bool is an int subclass
+        if isinstance(self.log_k, bool) or not isinstance(self.log_k, int) or self.log_k < 0:
+            raise ValueError("log_k must be a non-negative integer")
 
     def log_multiplier(self, sigma_hat: float) -> int:
         if self.log_k == 0:
@@ -145,8 +147,7 @@ def quantum_mean_cost(
     """
     if sigma_hat <= 0:
         raise ValueError("sigma_hat must be positive")
-    if d < 1:
-        raise ValueError("d must be a positive integer")
+    _check_dim(d)
     if L_hat < 0:
         raise ValueError("L_hat must be non-negative")
     if model.mode == "quantum":

@@ -22,6 +22,7 @@ the sawtooth) or in "mc" mode (ball-sampling mean with a standard error).
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -32,6 +33,7 @@ from .objectives import (
     XiSample,
     _BLOCK,
     _block_rows,
+    _check_dim,
     _f_rows,
     _F_rows,
     _finite_point,
@@ -53,6 +55,13 @@ __all__ = [
 # over smaller compute blocks, and only the draws themselves are chunk-sized.
 _CHUNK = 1 << 18
 
+# _g_delta_rows stacks its point sets into one _F_rows call up to this many
+# elements.  Bigger stacks stop paying: from 2^14 elements on some shapes ran
+# slower than one call per set, and at 2^16 all ran 1.2-3.5x slower, as
+# temporaries past glibc's 128 KiB mmap threshold are mapped and unmapped on
+# every call.
+_STACK = _BLOCK >> 3
+
 
 @dataclass
 class SmoothingParams:
@@ -65,8 +74,7 @@ class SmoothingParams:
 
 def sample_sphere(d: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform direction on the unit sphere in R^d."""
-    if d < 1:
-        raise ValueError("d must be a positive integer")
+    _check_dim(d)
     while True:
         v = rng.standard_normal(d)
         n = np.linalg.norm(v)
@@ -95,14 +103,48 @@ def g_delta(
 
 
 def _g_delta_rows(
-    spec: ObjectiveSpec, x: np.ndarray, delta: float, W: np.ndarray, payload
+    spec: ObjectiveSpec,
+    x: np.ndarray,
+    delta: float,
+    W: np.ndarray,
+    payload,
+    y: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Two-point estimates for each direction row in W (n, d) -> (n, d)."""
+    """Two-point estimates for each direction row in W (n, d) -> (n, d); with
+    y, the shared-draw differences g_delta(x; w, xi) - g_delta(y; w, xi).
+
+    The point sets x + dW, x - dW (and y + dW, y - dW), dW = delta * W, go to
+    _F_rows as one stacked batch while it holds at most _STACK elements, and
+    one call per set above that; _F_rows gives each stacked set the bytes of
+    its own call.
+    """
+    m, d = W.shape
     dW = delta * W
-    diff = _F_rows(spec, x + dW, payload)
-    diff -= _F_rows(spec, x - dW, payload)
-    diff *= spec.d / (2.0 * delta)
-    return diff[:, None] * W
+    k = 2 if y is None else 4
+    if k * m * d <= _STACK:
+        X = np.empty((k * m, d))
+        np.add(x, dW, out=X[:m])
+        np.subtract(x, dW, out=X[m:2 * m])
+        if y is not None:
+            np.add(y, dW, out=X[2 * m:3 * m])
+            np.subtract(y, dW, out=X[3 * m:])
+        F = _F_rows(spec, X, payload, sets=k)
+        diff = F[:m] - F[m:2 * m]
+        if y is not None:
+            diff_y = F[2 * m:3 * m] - F[3 * m:]
+    else:
+        diff = _F_rows(spec, x + dW, payload)
+        diff -= _F_rows(spec, x - dW, payload)
+        if y is not None:
+            diff_y = _F_rows(spec, y + dW, payload)
+            diff_y -= _F_rows(spec, y - dW, payload)
+    c = spec.d / (2.0 * delta)
+    diff *= c
+    G = diff[:, None] * W
+    if y is not None:
+        diff_y *= c
+        G -= diff_y[:, None] * W
+    return G
 
 
 def _g_delta_mean(
@@ -124,28 +166,32 @@ def _g_delta_mean(
     by block, right before each block is evaluated (see _sphere_blocks).
     Compute block: a chunk longer than one block of objectives._BLOCK
     elements is evaluated over blocks of _block_rows(d) rows, a multiple of
-    64, so that each block keeps the 4-row grouping of the BLAS matvec in
-    _F_rows and every row has the bytes the whole-chunk call gives it; a
-    one-row tail joins the block before it, since a one-row matvec takes
-    another kernel.  Carry: np.add.reduce over axis 0 of a C-ordered
-    (rows, d) array with d > 1 adds the rows one after another, so adding
-    the sum of the earlier blocks into a block's first row before reducing
-    it gives the whole-chunk sum to the bit (squares are taken before their
-    carry goes in).  At d = 1 the reduction is pairwise, so the chunk is
-    one block.  The carry restarts with each chunk and the chunk sums add up
-    in chunk order, so the result does not depend on the block size.
+    64, so that each block's point sets split into the same 4-row groups of
+    the BLAS matvecs in _F_rows as the whole chunk's and every row has the
+    bytes the whole-chunk call gives it; a one-row tail joins the block
+    before it, since a one-row matvec takes another kernel.  Carry:
+    np.add.reduce over axis 0 of a C-ordered (rows, d) array with d > 1 adds
+    the rows one after another, so adding the sum of the earlier blocks into
+    a block's first row before reducing it gives the whole-chunk sum to the
+    bit (squares are taken before their carry goes in).  At d = 1 the
+    reduction is pairwise, so the chunk is one block.  The carry restarts
+    with each chunk and the chunk sums add up in chunk order, so the result
+    does not depend on the block size.
     """
+    if not want_se and n <= _CHUNK and (n * spec.d <= _BLOCK or spec.d == 1):
+        # one chunk of one block: the loop's bytes without the loop, which
+        # adds the sum into zeros (a -0.0 column sum would become +0.0)
+        mean = np.add.reduce(_chunk_rows(spec, x, y, delta, n, rng), axis=0)
+        mean += 0.0
+        mean /= n
+        return mean
     total = np.zeros(spec.d)
     total_sq = np.zeros(spec.d) if want_se else None
     left = n
     while left > 0:
         m = min(left, _CHUNK)
         if m * spec.d <= _BLOCK or spec.d == 1:
-            W = _sphere_batch(spec.d, m, rng)
-            payload = _sample_xi_batch(spec, m, rng)
-            G = _g_delta_rows(spec, x, delta, W, payload)
-            if y is not None:
-                G -= _g_delta_rows(spec, y, delta, W, payload)
+            G = _chunk_rows(spec, x, y, delta, m, rng)
             total += np.add.reduce(G, axis=0)
             if want_se:
                 G *= G
@@ -172,6 +218,20 @@ def _g_delta_mean(
     else:
         se = np.full(spec.d, np.inf)
     return mean, se
+
+
+def _chunk_rows(
+    spec: ObjectiveSpec,
+    x: np.ndarray,
+    y: np.ndarray | None,
+    delta: float,
+    m: int,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """The estimates of one single-block chunk of m rows: W, then the
+    payload, drawn whole."""
+    W = _sphere_batch(spec.d, m, rng)
+    return _g_delta_rows(spec, x, delta, W, _sample_xi_batch(spec, m, rng), y)
 
 
 def _block_bounds(m: int, d: int) -> list[tuple[int, int]]:
@@ -220,9 +280,7 @@ def _blocked_sums(
     a carried sum (see _g_delta_mean)."""
     acc = acc_sq = None
     for Wb, pb in blocks:
-        G = _g_delta_rows(spec, x, delta, Wb, pb)
-        if y is not None:
-            G -= _g_delta_rows(spec, y, delta, Wb, pb)
+        G = _g_delta_rows(spec, x, delta, Wb, pb, y)
         if want_se:
             sq = G * G
             if acc_sq is not None:
@@ -238,6 +296,7 @@ def _blocked_sums(
 # surrogate value
 
 
+@functools.cache
 def _ball_marginal_norm(d: int) -> float:
     # integral of (1 - t^2)^((d-1)/2) over [-1, 1]
     from scipy import special  # scipy loads only for closed-form f_delta

@@ -45,6 +45,13 @@ def test_param_derivations():
 def test_param_derivation_errors():
     with pytest.raises(ValueError):
         derive_params_qgfm(0, 1.0, 0.1, 0.1, 1.0)
+    # d = 2.5 used to give a step count; True passed as d = 1
+    for bad in (2.5, 4.0, True):
+        for derive in (derive_params_qgfm, derive_params_qgfm_plus):
+            with pytest.raises(ValueError, match="d must be a positive integer"):
+                derive(bad, 1.0, 0.1, 0.1, 1.0)
+        with pytest.raises(ValueError, match="d must be a positive integer"):
+            derive_params_qgm_plus(1.0, 1.0, 0.1, 1.0, bad)
     with pytest.raises(ValueError):
         derive_params_qgfm(4, 1.0, 0.1, 0.0, 1.0)
     with pytest.raises(ValueError):

@@ -60,6 +60,11 @@ def test_catalog_rejects_bad_args():
         catalog_make("himmelblau", 2)
     with pytest.raises(ValueError):
         catalog_make("sawtooth", 0)
+    # True used to die in a numpy TypeError
+    for name in CATALOG_NAMES:
+        for bad in (True, 2.0, 2.5, "2"):
+            with pytest.raises(ValueError, match="d must be a positive integer"):
+                catalog_make(name, bad)
     with pytest.raises(ValueError):
         catalog_make("sawtooth", 2, noise_scale=-0.1)
     for name in CATALOG_NAMES:

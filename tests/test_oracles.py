@@ -31,6 +31,10 @@ def test_cost_model_validation():
             CostModel(c_q=bad)
     with pytest.raises(ValueError):
         CostModel(log_k=-1)
+    # a float log_k turned ledger counters into floats; True counted as 1
+    for bad in (1.5, 2.0, True, False, "1"):
+        with pytest.raises(ValueError, match="log_k must be a non-negative integer"):
+            CostModel(log_k=bad)
     assert CostModel().log_multiplier(0.01) == 1
     assert CostModel(log_k=1).log_multiplier(0.25) == 2
     assert CostModel(log_k=2).log_multiplier(0.25) == 4
@@ -99,6 +103,10 @@ def test_quantum_mean_cost_formula():
     assert quantum_mean_cost(2.0, 4, 1.0, CostModel(mode="classical")) == 4
     with pytest.raises(ValueError):
         quantum_mean_cost(2.0, 4, 0.0, CostModel())
+    # d = 2.5 used to be charged as sqrt(2.5), True as d = 1
+    for bad in (0, 2.5, True):
+        with pytest.raises(ValueError, match="d must be a positive integer"):
+            quantum_mean_cost(2.0, bad, 0.5, CostModel())
 
 
 def test_estimate_grad_charges_and_floor():

@@ -32,8 +32,9 @@ def test_sphere_is_unit_norm():
         for _ in range(20):
             w = sample_sphere(d, rng)
             assert abs(np.linalg.norm(w) - 1.0) <= 1e-12
-    with pytest.raises(ValueError):
-        sample_sphere(0, rng)
+    for bad in (0, 2.5, True):
+        with pytest.raises(ValueError, match="d must be a positive integer"):
+            sample_sphere(bad, rng)
 
 
 def test_sphere_d1_is_sign_flip():
