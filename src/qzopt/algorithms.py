@@ -49,7 +49,7 @@ from .oracles import (
     estimate_sgrad_diff,
 )
 from .rng import substream
-from .smoothing import SmoothingParams, f_delta, grad_f_delta_ref
+from .smoothing import SmoothingParams, _g_delta_mean, f_delta
 from .stationarity import ResidualReport, goldstein_residual
 
 __all__ = [
@@ -228,7 +228,9 @@ def _phi_diagnostic(
     """
     if smoothing is not None:
         fval = f_delta(spec, x, smoothing)
-        ref, _ = grad_f_delta_ref(spec, x, smoothing, max(2, ref_n), substream(seed, "trace", t))
+        # the mean of grad_f_delta_ref's (mean, se), to the bit and to the
+        # stream's end, without the squares behind the unread se
+        ref = _g_delta_mean(spec, x, smoothing.delta, max(2, ref_n), substream(seed, "trace", t))
     else:
         fval = float(0.5 * (x * x) @ spec.lambdas)
         ref = spec.lambdas * x

@@ -81,7 +81,8 @@ class RegisterLayout:
     def __post_init__(self) -> None:
         for name in ("m1", "m2", "d", "frac_bits"):
             v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)) or v < 1:
+            # bool is an int subclass: True would pass as 1
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 1:
                 raise ValueError(f"{name} must be a positive integer")
 
     @property
@@ -344,32 +345,39 @@ def fixed_point_quantize(values: np.ndarray | float, frac_bits: int) -> np.ndarr
     return snapped
 
 
+# The stages one branch point runs, in tape order.
+_BRANCH_STAGES = ("A+", "A-", "U_F", "U_F", "sub", "Fmul")
+
+
 def _pipeline_core(
     spec: ObjectiveSpec,
-    x: np.ndarray,
+    points: np.ndarray,
     params: SmoothingParams,
     payload,
     wq: np.ndarray,
     frac_bits: int,
-    tape: StageTape,
-) -> np.ndarray:
+) -> list[float]:
     """Quantized diff = F(x + delta w) - F(x - delta w), scaled by d/(2 delta),
-    on checked length-d x and wq and xi's one-row batch payload."""
+    for each row x of the checked (k, d) points, on a quantized length-d wq
+    and xi's one-row batch payload: one float per row.
+
+    Each register stage is quantized once for all k branches: the points,
+    then x + delta w and x - delta w for each row in turn.  Those 2k rows go
+    to F as one _F_rows call of 2k one-row sets, each with the bytes of its
+    own call, so every register holds what a branch run alone holds.  x is
+    still quantized on every call, also when it repeats.
+    """
     q = lambda v: fixed_point_quantize(v, frac_bits)  # noqa: E731
     delta = params.delta
-    xq = q(x)
-    tape.note("A+")
-    x_plus = q(xq + delta * wq)
-    tape.note("A-")
-    x_minus = q(xq - delta * wq)
-    tape.note("U_F")
-    f_plus = q(float(_F_rows(spec, x_plus[None, :], payload)[0]))
-    tape.note("U_F")
-    f_minus = q(float(_F_rows(spec, x_minus[None, :], payload)[0]))
-    tape.note("sub")
-    diff = q(f_plus - f_minus)
-    tape.note("Fmul")
-    return q(diff * (spec.d / (2.0 * delta)))
+    k, d = points.shape
+    xq = q(points)
+    dw = delta * wq
+    shifted = np.empty((2 * k, d))
+    np.add(xq, dw, out=shifted[0::2])
+    np.subtract(xq, dw, out=shifted[1::2])
+    F = _F_rows(spec, q(shifted), payload, sets=2 * k).tolist()
+    scale = spec.d / (2.0 * delta)
+    return [q(q(q(f_plus) - q(f_minus)) * scale) for f_plus, f_minus in zip(F[0::2], F[1::2])]
 
 
 def emulate_U_g(
@@ -385,14 +393,20 @@ def emulate_U_g(
 
     Agrees with the float evaluation within
     2^(1-frac_bits) * (d / 2 delta) * (1 + ||x|| + L) per coordinate.
+
+    The tape gets the stages once all of them have run.  A register that
+    leaves the fixed-point range raises OverflowError (see
+    fixed_point_quantize) and leaves the tape as it was.
     """
     tape = tape or StageTape()
     fb = layout.frac_bits
     wq = fixed_point_quantize(_check_point(spec, w), fb)
     payload = _payload_rows(spec, xi)
-    scaled = _pipeline_core(spec, _check_point(spec, x), params, payload, wq, fb, tape)
-    tape.note("mul")
-    return fixed_point_quantize(scaled * wq, fb)
+    (scaled,) = _pipeline_core(spec, _check_point(spec, x)[None, :], params, payload, wq, fb)
+    g = fixed_point_quantize(scaled * wq, fb)
+    for stage in _BRANCH_STAGES + ("mul",):
+        tape.note(stage)
+    return g
 
 
 def emulate_V_g(
@@ -408,15 +422,19 @@ def emulate_V_g(
     """g_delta(x; w, xi) - g_delta(y; w, xi) with shared draws (4 F calls).
 
     x == y gives exactly zero: both branches run the identical
-    computation on identical register contents.
+    computation on identical register contents.  The tape gets the x
+    branch's stages, then the y branch's, then the final sub and mul,
+    once all of them have run; an OverflowError from either branch, or
+    from the final stages, leaves the tape as it was.
     """
     tape = tape or StageTape()
     fb = layout.frac_bits
     wq = fixed_point_quantize(_check_point(spec, w), fb)
     payload = _payload_rows(spec, xi)
-    vx = _pipeline_core(spec, _check_point(spec, x), params, payload, wq, fb, tape)
-    vy = _pipeline_core(spec, _check_point(spec, y), params, payload, wq, fb, tape)
-    tape.note("sub")
+    points = np.stack((_check_point(spec, x), _check_point(spec, y)))
+    vx, vy = _pipeline_core(spec, points, params, payload, wq, fb)
     diff = fixed_point_quantize(vx - vy, fb)
-    tape.note("mul")
-    return fixed_point_quantize(diff * wq, fb)
+    g = fixed_point_quantize(diff * wq, fb)
+    for stage in _BRANCH_STAGES * 2 + ("sub", "mul"):
+        tape.note(stage)
+    return g

@@ -66,6 +66,11 @@ class ConfigError(ValueError):
     """Invalid configuration (maps to CLI exit code 2)."""
 
 
+def _is_int(v) -> bool:
+    # bool is an int subclass: True would pass as 1
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 @dataclass
 class ExperimentConfig:
     algorithm: str
@@ -88,7 +93,7 @@ class ExperimentConfig:
             raise ConfigError(f"unknown algorithm {self.algorithm!r}")
         if self.problem not in CATALOG_NAMES:
             raise ConfigError(f"unknown problem {self.problem!r}")
-        if not isinstance(self.d, int) or self.d < 1:
+        if not _is_int(self.d) or self.d < 1:
             raise ConfigError("d must be a positive integer")
         if not self.eps_grid:
             raise ConfigError("at least one eps value is required")
@@ -100,14 +105,14 @@ class ExperimentConfig:
         if not self.seeds:
             raise ConfigError("at least one seed is required")
         for s in self.seeds:
-            if not isinstance(s, int) or s < 0:
+            if not _is_int(s) or s < 0:
                 raise ConfigError("seeds must be non-negative integers")
         if not 0.0 <= self.noise_scale < math.inf:
             raise ConfigError("noise_scale must be non-negative and finite")
         if self.algorithm != "qgm_plus" and not self.delta > 0:
             raise ConfigError(f"{self.algorithm} requires delta > 0")
-        if self.budget < 1:
-            raise ConfigError("budget must be positive")
+        if not _is_int(self.budget) or self.budget < 1:
+            raise ConfigError("budget must be a positive integer")
 
 
 # ---------------------------------------------------------------------------

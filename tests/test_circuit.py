@@ -265,3 +265,38 @@ def test_h_values_approach_gaussian_at_wide_registers():
     assert spot == h[0]
     assert abs(stats.skew(h)) <= 0.05
     assert abs(stats.kurtosis(h)) <= 0.1
+
+
+def test_layout_rejects_bool_widths():
+    for i in range(4):
+        widths = [1, 2, 2, 32]
+        widths[i] = True
+        with pytest.raises(ValueError, match="positive integer"):
+            qz.RegisterLayout(*widths)
+
+
+@pytest.mark.parametrize("problem, bad", [
+    ("abs-linear", np.array([2.0 ** 20 - 0.25, 0.0])),  # x + delta w leaves the range
+    ("quadratic-smooth", np.array([2.0 ** 19, 0.0])),  # F(x +- delta w) leaves it
+])
+def test_emulation_overflow_keeps_error_and_tape(problem, bad):
+    # frac_bits = 32 holds values below 2^20
+    spec = qz.catalog_make(problem, 2)
+    lay = qz.RegisterLayout(m1=1, m2=2, d=2, frac_bits=32)
+    sm = qz.SmoothingParams(0.5)
+    w = np.array([1.0, 0.0])
+    xi = sample_xi(spec, substream(0, "ovf"))
+    ok = np.array([0.3, -0.1])
+    tape = qz.StageTape()
+    qz.emulate_U_g(spec, ok, sm, xi, w, lay, tape)
+    before = (list(tape.stages), tape.uf_calls)
+    calls = [lambda: qz.emulate_U_g(spec, bad, sm, xi, w, lay, tape),
+             lambda: qz.emulate_V_g(spec, bad, ok, sm, xi, w, lay, tape),
+             lambda: qz.emulate_V_g(spec, ok, bad, sm, xi, w, lay, tape)]
+    for call in calls:
+        with pytest.raises(OverflowError) as err:
+            call()
+        assert type(err.value) is OverflowError
+        assert str(err.value) == "value outside fixed-point range (+-2^20)"
+        # an error leaves the tape as it was
+        assert (tape.stages, tape.uf_calls) == before

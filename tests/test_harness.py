@@ -125,6 +125,14 @@ def test_experiment_config_validation():
         small_config(delta=0.0)
     with pytest.raises(ConfigError, match="budget"):
         small_config(budget=0)
+    # bool is an int subclass; NaN passes every comparison-based check
+    with pytest.raises(ConfigError, match="d must"):
+        small_config(d=True)
+    with pytest.raises(ConfigError, match="seed"):
+        small_config(seeds=(0, True))
+    for bad in (True, 2.5, 1e9, math.nan):
+        with pytest.raises(ConfigError, match="budget"):
+            small_config(budget=bad)
     # the smooth track has no smoothing radius to validate
     cfg = ExperimentConfig(algorithm="qgm_plus", problem="quadratic-smooth", d=2,
                            eps_grid=(0.2,), seeds=(0,), delta=0.0)
