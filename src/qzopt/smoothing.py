@@ -304,19 +304,15 @@ def _ball_marginal_norm(d: int) -> float:
     return float(special.beta(0.5, (d + 1) / 2.0))
 
 
-@functools.lru_cache(maxsize=64)
 def _sawtooth_coord_smoothed(xi: float, delta: float, d: int) -> float:
     """E[dist(xi + delta t, Z)] for t distributed as one coordinate of a
     uniform ball point, by quadrature against that marginal's density.
 
     The integrand's distance is abs(math.remainder(u, 1.0)), one C call with
     the bytes of abs(u - round(u)): both subtract the nearest integer, ties
-    to even, and that subtraction is exact.  A traced run asks for the same
-    coordinate values again and again (frozen coordinates, repeated
-    iterates), so the last 64 (xi, delta, d) keys are memoized.  The memo is
-    kept small on purpose: it serves repeats within a run, and is far too
-    small to hold a whole run for the next identical one.  -0.0 and 0.0 are
-    one key; their values are the same bytes.
+    to even, and that subtraction is exact.  Nothing is memoized: how often
+    a run repeats a coordinate value depends on its path, so a memo would
+    make a run's cost depend on its seed.
     """
     # kinks of dist(. , Z) sit on the half-integer lattice
     lo = math.floor((xi - delta) * 2.0)

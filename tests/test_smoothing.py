@@ -5,16 +5,13 @@ import numpy as np
 import pytest
 
 from qzopt import (
-    CostModel,
     SmoothingParams,
     XiSample,
     catalog_make,
-    derive_params_qgfm_plus,
     eval_f,
     f_delta,
     g_delta,
     grad_f_delta_ref,
-    qgfm_plus,
     sample_sphere,
     sample_xi,
     substream,
@@ -329,36 +326,12 @@ def test_sawtooth_integrand_distance_is_exact():
 
 
 def test_sawtooth_f_delta_signed_zero_coordinates():
-    # -0.0 and 0.0 are one memo key; their smoothed values are the same bytes
-    memo = sm_mod._sawtooth_coord_smoothed
+    # -0.0 and 0.0 coordinates give the same smoothed bytes
+    coord = sm_mod._sawtooth_coord_smoothed
     for d in (1, 2, 4):
         spec = catalog_make("sawtooth", d)
         for delta in (0.1, 0.3):
             sm = SmoothingParams(delta)
-            assert (memo.__wrapped__(-0.0, delta, d).hex()
-                    == memo.__wrapped__(0.0, delta, d).hex())
+            assert coord(-0.0, delta, d).hex() == coord(0.0, delta, d).hex()
             neg = np.resize(np.array([-0.0, 0.37]), d)
-            pos = np.abs(neg)
-            memo.cache_clear()
-            first = f_delta(spec, neg, sm)
-            memo.cache_clear()
-            assert f_delta(spec, pos, sm).hex() == first.hex()
-            assert f_delta(spec, neg, sm).hex() == first.hex()
-
-
-def test_sawtooth_memo_serves_one_run_not_the_next():
-    memo = sm_mod._sawtooth_coord_smoothed
-    spec = catalog_make("sawtooth", 4)
-    x0 = spec.x0 + np.array([0.31, -0.12, 0.27, -0.35])
-    p = derive_params_qgfm_plus(4, spec.L, 0.3, 0.4, spec.delta_0)
-    memo.cache_clear()
-    hits, records = [], []
-    for _ in range(2):
-        before = memo.cache_info().hits
-        res = qgfm_plus(spec, x0, p, SmoothingParams(0.3), CostModel(), 3, trace=True)
-        hits.append(memo.cache_info().hits - before)
-        records.append([(r.phi, r.gradref_norm) for r in res.trace])
-    assert memo.cache_info().maxsize == 64
-    assert hits[0] > 0
-    assert hits[1] <= hits[0]
-    assert records[1] == records[0]
+            assert f_delta(spec, np.abs(neg), sm).hex() == f_delta(spec, neg, sm).hex()
