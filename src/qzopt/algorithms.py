@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .objectives import ObjectiveSpec, _check_dim, _finite_point
+from .objectives import ObjectiveSpec, _check_int, _check_real, _finite_point
 from .oracles import (
     CostModel,
     QueryLedger,
@@ -135,22 +135,15 @@ class RunResult:
 # parameter derivations
 
 
-def _check_positive(**kwargs: float) -> None:
-    for name, v in kwargs.items():
-        if not v > 0 or not math.isfinite(v):
-            raise ValueError(f"{name} must be positive and finite")
-
-
-def _check_d_delta(d: int, Delta: float) -> None:
-    _check_dim(d)
-    if Delta < 0 or not math.isfinite(Delta):
-        raise ValueError("Delta must be non-negative and finite")
+def _nonsmooth_args(d, L, delta, eps, Delta) -> tuple[int, float, float, float, float]:
+    """The checked (d, L, delta, eps, Delta) of a non-smooth schedule."""
+    return (_check_int("d", d, 1), _check_real("L", L), _check_real("delta", delta),
+            _check_real("eps", eps), _check_real("Delta", Delta, lo_open=False))
 
 
 def derive_params_qgfm(d: int, L: float, delta: float, eps: float, Delta: float) -> QgfmParams:
     """Step size, accuracy target and step count for the plain method."""
-    _check_positive(L=L, delta=delta, eps=eps)
-    _check_d_delta(d, Delta)
+    d, L, delta, eps, Delta = _nonsmooth_args(d, L, delta, eps, Delta)
     rd = math.sqrt(d)
     eta = delta / (2.0 * rd * L)
     T = math.ceil(2.0 / (eps * eps) * (4.0 * rd * L * L + 2.0 * rd * L * Delta / delta))
@@ -159,8 +152,7 @@ def derive_params_qgfm(d: int, L: float, delta: float, eps: float, Delta: float)
 
 def derive_params_qgfm_plus(d: int, L: float, delta: float, eps: float, Delta: float) -> QgfmPlusParams:
     """Schedule for the variance-reduced non-smooth method (needs eps <= L)."""
-    _check_positive(L=L, delta=delta, eps=eps)
-    _check_d_delta(d, Delta)
+    d, L, delta, eps, Delta = _nonsmooth_args(d, L, delta, eps, Delta)
     if eps > L:
         raise ValueError("eps must not exceed L (refresh probability would exceed 1)")
     rd = math.sqrt(d)
@@ -180,10 +172,10 @@ def derive_params_qgm_plus(l: float, sigma: float, eps: float, Delta: float, d: 
     d is accepted for signature symmetry with the other derivations; the
     smooth rates carry no explicit dimension factor.
     """
-    _check_positive(l=l, eps=eps)
-    _check_d_delta(d, Delta)
-    if sigma < 0 or not math.isfinite(sigma):
-        raise ValueError("sigma must be non-negative and finite")
+    l, eps = _check_real("l", l), _check_real("eps", eps)
+    _check_int("d", d, 1)
+    Delta = _check_real("Delta", Delta, lo_open=False)
+    sigma = _check_real("sigma", sigma, lo_open=False)
     if sigma == 0.0:
         p = 1.0
         kappa = 0.0

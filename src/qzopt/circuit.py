@@ -36,6 +36,7 @@ from .objectives import (
     ObjectiveSpec,
     XiSample,
     _block_rows,
+    _check_int,
     _check_point,
     _F_rows,
     _payload_rows,
@@ -80,10 +81,7 @@ class RegisterLayout:
 
     def __post_init__(self) -> None:
         for name in ("m1", "m2", "d", "frac_bits"):
-            v = getattr(self, name)
-            # bool is an int subclass: True would pass as 1
-            if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 1:
-                raise ValueError(f"{name} must be a positive integer")
+            setattr(self, name, _check_int(name, getattr(self, name), 1))
 
     @property
     def total_qubits(self) -> int:

@@ -32,10 +32,10 @@ from .algorithms import (
     qgfm_plus,
     qgm_plus,
 )
-from .objectives import CATALOG_NAMES, ObjectiveSpec, catalog_make
+from .objectives import CATALOG_NAMES, ObjectiveSpec, _check_int, _check_real, catalog_make
 from .oracles import CostModel
 from .smoothing import SmoothingParams
-from .stationarity import _interval_verdict
+from .stationarity import _interval_verdict, _residual_args
 
 __all__ = [
     "ALGORITHMS",
@@ -66,11 +66,6 @@ class ConfigError(ValueError):
     """Invalid configuration (maps to CLI exit code 2)."""
 
 
-def _is_int(v) -> bool:
-    # bool is an int subclass: True would pass as 1
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
 @dataclass
 class ExperimentConfig:
     algorithm: str
@@ -89,30 +84,29 @@ class ExperimentConfig:
     timings: bool = False
 
     def __post_init__(self) -> None:
-        if self.algorithm not in ALGORITHMS:
-            raise ConfigError(f"unknown algorithm {self.algorithm!r}")
-        if self.problem not in CATALOG_NAMES:
-            raise ConfigError(f"unknown problem {self.problem!r}")
-        if not _is_int(self.d) or self.d < 1:
-            raise ConfigError("d must be a positive integer")
-        if not self.eps_grid:
-            raise ConfigError("at least one eps value is required")
-        for e in self.eps_grid:
-            if not e > 0 or not math.isfinite(e):
-                raise ConfigError("eps values must be positive and finite")
-        if len(set(self.eps_grid)) != len(self.eps_grid):
-            raise ConfigError("eps values must be distinct")
-        if not self.seeds:
-            raise ConfigError("at least one seed is required")
-        for s in self.seeds:
-            if not _is_int(s) or s < 0:
-                raise ConfigError("seeds must be non-negative integers")
-        if not 0.0 <= self.noise_scale < math.inf:
-            raise ConfigError("noise_scale must be non-negative and finite")
-        if self.algorithm != "qgm_plus" and not self.delta > 0:
-            raise ConfigError(f"{self.algorithm} requires delta > 0")
-        if not _is_int(self.budget) or self.budget < 1:
-            raise ConfigError("budget must be a positive integer")
+        # the checked values are stored, so numpy scalars become Python ints and floats
+        try:
+            if self.algorithm not in ALGORITHMS:
+                raise ValueError(f"unknown algorithm {self.algorithm!r}")
+            if self.problem not in CATALOG_NAMES:
+                raise ValueError(f"unknown problem {self.problem!r}")
+            self.d = _check_int("d", self.d, 1)
+            if not self.eps_grid:
+                raise ValueError("at least one eps value is required")
+            self.eps_grid = tuple(_check_real("eps values", e) for e in self.eps_grid)
+            if len(set(self.eps_grid)) != len(self.eps_grid):
+                raise ValueError("eps values must be distinct")
+            if not self.seeds:
+                raise ValueError("at least one seed is required")
+            self.seeds = tuple(_check_int("seed", s, 0) for s in self.seeds)
+            self.noise_scale = _check_real("noise_scale", self.noise_scale, lo_open=False)
+            # qgm_plus smooths nothing, so its delta may be 0
+            self.delta = _check_real("delta", self.delta, lo_open=self.algorithm != "qgm_plus")
+            self.budget = _check_int("budget", self.budget, 1)
+            self.residual_n, self.residual_confidence = _residual_args(
+                self.residual_n, self.residual_confidence, prefix="residual_")
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
 
 # ---------------------------------------------------------------------------

@@ -58,6 +58,7 @@ guarantee are identical.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Any
 
@@ -118,13 +119,11 @@ class ObjectiveSpec:
     diff_var_coeff: float = 1.0
 
     def __post_init__(self) -> None:
-        _check_dim(self.d)
-        if self.L <= 0:
-            raise ValueError("L must be positive")
+        self.d = _check_int("d", self.d, 1)
+        self.L = _check_real("L", self.L)
         if self.noise_kind not in NOISE_KINDS:
             raise ValueError(f"unknown noise_kind {self.noise_kind!r}")
-        if not 0.0 <= self.noise_scale < math.inf:
-            raise ValueError("noise_scale must be non-negative and finite")
+        self.noise_scale = _check_real("noise_scale", self.noise_scale, lo_open=False)
 
 
 def catalog_make(
@@ -140,7 +139,8 @@ def catalog_make(
     "none" otherwise.  ``direction`` overrides the kink normal of
     abs-linear (it is normalized; default (1,...,1)/sqrt(d)).
     """
-    _check_dim(d)
+    d = _check_int("d", d, 1)
+    noise_scale = _check_real("noise_scale", noise_scale, lo_open=False)
     if noise_kind is None:
         noise_kind = "additive-offset" if noise_scale > 0 else "none"
     if noise_kind not in NOISE_KINDS:
@@ -173,6 +173,8 @@ def catalog_make(
             a = np.asarray(direction, dtype=float)
             if a.shape != (d,):
                 raise ValueError("direction must have shape (d,)")
+            if not np.isfinite(a).all():
+                raise ValueError("direction must be finite")
             nrm = float(np.linalg.norm(a))
             if nrm == 0.0:
                 raise ValueError("direction must be nonzero")
@@ -231,12 +233,6 @@ def catalog_make(
         )
 
     raise ValueError(f"unknown catalog problem {name!r}")
-
-
-def _check_dim(d: int) -> None:
-    # bool is an int subclass: True would pass as d = 1
-    if isinstance(d, bool) or not isinstance(d, (int, np.integer)) or d < 1:
-        raise ValueError("d must be a positive integer")
 
 
 # ---------------------------------------------------------------------------
@@ -386,6 +382,34 @@ def _F_rows(spec: ObjectiveSpec, X: np.ndarray, payload, sets: int = 1) -> np.nd
             else:
                 vals += payload
     return vals if sets == 1 else vals.ravel()
+
+
+# ---------------------------------------------------------------------------
+# argument checks: every module checks its numeric arguments with these two
+
+_REALS = (float, int, np.floating, np.integer)
+
+
+def _check_int(name: str, v, lo: int) -> int:
+    """v as a Python int, for a Python or numpy integer v >= lo.  A bool
+    (an int subclass: True would pass as 1) or a float, however integral,
+    raises ValueError."""
+    if type(v) is not int:  # a plain int skips the type test
+        v = operator.index(v) if isinstance(v, (int, np.integer)) and not isinstance(v, bool) else None
+    if v is None or v < lo:
+        bound = {0: "a non-negative integer", 1: "a positive integer"}.get(lo, f"an integer >= {lo}")
+        raise ValueError(f"{name} must be {bound}")
+    return v
+
+
+def _check_real(name: str, v, lo_open: bool = True) -> float:
+    """float(v), for a finite Python or numpy int or float v (not a bool)
+    that is > 0, or >= 0 with lo_open=False; NaN and +-inf raise ValueError."""
+    if type(v) is not float:  # a plain float skips the type test
+        v = float(v) if isinstance(v, _REALS) and not isinstance(v, bool) else math.nan
+    if 0.0 < v < math.inf or v == 0.0 and not lo_open:
+        return v
+    raise ValueError(f"{name} must be {'positive' if lo_open else 'non-negative'} and finite")
 
 
 def _check_point(spec: ObjectiveSpec, x: np.ndarray) -> np.ndarray:

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .objectives import ObjectiveSpec, _check_dim, _check_point, _sample_xi_batch
+from .objectives import ObjectiveSpec, _check_int, _check_point, _check_real, _sample_xi_batch
 from .smoothing import SmoothingParams, _g_delta_mean
 
 __all__ = [
@@ -60,12 +60,9 @@ class CostModel:
     def __post_init__(self) -> None:
         if self.mode not in COST_MODES:
             raise ValueError(f"unknown cost mode {self.mode!r}")
-        if not (math.isfinite(self.c_q) and self.c_q > 0):
-            raise ValueError("c_q must be positive and finite")
-        # a float log_k would turn every ledger counter into a float, and
-        # bool is an int subclass
-        if isinstance(self.log_k, bool) or not isinstance(self.log_k, int) or self.log_k < 0:
-            raise ValueError("log_k must be a non-negative integer")
+        self.c_q = _check_real("c_q", self.c_q)
+        # a float log_k would turn every ledger counter into a float
+        self.log_k = _check_int("log_k", self.log_k, 0)
 
     def log_multiplier(self, sigma_hat: float) -> int:
         if self.log_k == 0:
@@ -145,11 +142,9 @@ def quantum_mean_cost(
     mean-estimation rate sqrt(d) * L_hat / sigma_hat; classical mode is
     the batch size L_hat^2 / sigma_hat^2.
     """
-    if sigma_hat <= 0:
-        raise ValueError("sigma_hat must be positive")
-    _check_dim(d)
-    if L_hat < 0:
-        raise ValueError("L_hat must be non-negative")
+    sigma_hat = _check_real("sigma_hat", sigma_hat)
+    d = _check_int("d", d, 1)
+    L_hat = _check_real("L_hat", L_hat, lo_open=False)
     if model.mode == "quantum":
         return _quantum_count(model, model.c_q * math.sqrt(d) * L_hat / sigma_hat, sigma_hat)
     return max(1, math.ceil(L_hat * L_hat / (sigma_hat * sigma_hat)))
@@ -163,13 +158,6 @@ def _quantum_count(model: CostModel, raw: float, sigma_hat: float) -> int:
 
 # ---------------------------------------------------------------------------
 # accuracy-targeted estimators
-
-
-def _check_sigma(sigma_hat: float) -> float:
-    sigma_hat = float(sigma_hat)
-    if not sigma_hat > 0 or not math.isfinite(sigma_hat):
-        raise ValueError("sigma_hat must be positive and finite")
-    return sigma_hat
 
 
 def estimate_grad(
@@ -188,7 +176,7 @@ def estimate_grad(
     independent two-point draws.  Quantum charge per call:
     2 * max(1, ceil(c_q * d * L / sigma_hat)); classical charge 2n.
     """
-    sigma_hat = _check_sigma(sigma_hat)
+    sigma_hat = _check_real("sigma_hat", sigma_hat)
     x = _check_point(spec, x)
     d, L = spec.d, spec.L
     n = max(1, math.ceil(spec.est_var_coeff * d * L * L / (sigma_hat * sigma_hat)))
@@ -219,7 +207,7 @@ def estimate_grad_diff(
     y = _check_point(spec, y)
     if not np.count_nonzero(x != y):  # x == y
         return GradEstimate(np.zeros(spec.d), 0)
-    sigma_hat = _check_sigma(sigma_hat)
+    sigma_hat = _check_real("sigma_hat", sigma_hat)
     d, L, delta = spec.d, spec.L, params.delta
     v = x - y
     dist = math.sqrt(v.dot(v))
@@ -247,7 +235,7 @@ def estimate_sgrad(
     """Smooth track: estimate grad f(x) from the stochastic gradient oracle."""
     if spec.smooth_params is None:
         raise ValueError(f"{spec.name!r} exposes no smooth gradient oracle")
-    sigma_hat = _check_sigma(sigma_hat)
+    sigma_hat = _check_real("sigma_hat", sigma_hat)
     x = _check_point(spec, x)
     _, sigma = spec.smooth_params
     n = max(1, math.ceil(sigma * sigma / (sigma_hat * sigma_hat)))
@@ -282,7 +270,7 @@ def estimate_sgrad_diff(
     y = _check_point(spec, y)
     if not np.count_nonzero(x != y):  # x == y
         return GradEstimate(np.zeros(spec.d), 0)
-    sigma_hat = _check_sigma(sigma_hat)
+    sigma_hat = _check_real("sigma_hat", sigma_hat)
     l, _ = spec.smooth_params
     v = x - y
     dist = math.sqrt(v.dot(v))

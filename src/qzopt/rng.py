@@ -12,6 +12,8 @@ import zlib
 
 import numpy as np
 
+from .objectives import _check_int
+
 __all__ = ["substream"]
 
 
@@ -20,16 +22,13 @@ def substream(seed: int, label: str, *indices: int) -> np.random.Generator:
 
     The same key always yields a generator producing the identical output
     sequence.  The label is hashed with CRC-32 so keys are stable across
-    processes and platforms (unlike the builtin ``hash``).
+    processes and platforms (unlike the builtin ``hash``).  The seed and
+    indices are non-negative integers; a float or bool raises ValueError
+    rather than being truncated to another key.
     """
-    seed = int(seed)
-    if seed < 0:
-        raise ValueError("seed must be non-negative")
+    seed = _check_int("seed", seed, 0)
     key = [zlib.crc32(label.encode("utf-8"))]
     for i in indices:
-        i = int(i)
-        if i < 0:
-            raise ValueError("stream indices must be non-negative")
-        key.append(i)
+        key.append(_check_int("stream index", i, 0))
     ss = np.random.SeedSequence(entropy=seed, spawn_key=tuple(key))
     return np.random.default_rng(ss)

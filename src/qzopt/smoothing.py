@@ -33,7 +33,8 @@ from .objectives import (
     XiSample,
     _BLOCK,
     _block_rows,
-    _check_dim,
+    _check_int,
+    _check_real,
     _f_rows,
     _F_rows,
     _finite_point,
@@ -68,13 +69,12 @@ class SmoothingParams:
     delta: float
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.delta < math.inf:
-            raise ValueError("delta must be positive and finite")
+        self.delta = _check_real("delta", self.delta)
 
 
 def sample_sphere(d: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform direction on the unit sphere in R^d."""
-    _check_dim(d)
+    d = _check_int("d", d, 1)
     while True:
         v = rng.standard_normal(d)
         n = np.linalg.norm(v)
@@ -368,8 +368,7 @@ def f_delta(
         total = sum(_sawtooth_coord_smoothed(float(v), delta, spec.d) for v in x)
         return total / math.sqrt(spec.d)
     if mode == "mc":
-        if n is None or n < 1:
-            raise ValueError("mc mode needs a positive sample count n")
+        n = _check_int("n", n, 1)
         if rng is None:
             raise ValueError("mc mode needs an rng")
         # uniform ball points, scaled and shifted in place: x + delta * U
@@ -398,6 +397,4 @@ def grad_f_delta_ref(
     query ledger.
     """
     x = _finite_point(spec, x)
-    if n < 2:
-        raise ValueError("reference gradient needs n >= 2")
-    return _g_delta_mean(spec, x, params.delta, n, rng, want_se=True)
+    return _g_delta_mean(spec, x, params.delta, _check_int("n", n, 2), rng, want_se=True)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .objectives import ObjectiveSpec, _finite_point
+from .objectives import ObjectiveSpec, _check_int, _check_real, _finite_point
 from .smoothing import SmoothingParams, _g_delta_mean
 
 __all__ = [
@@ -60,14 +60,20 @@ def goldstein_residual(
     Reference-side measurement: draws are not charged to any ledger.
     """
     x = _finite_point(spec, x)
-    if n < 2:
-        raise ValueError("residual estimation needs n >= 2")
-    if not 0.0 < confidence < 1.0:
-        raise ValueError("confidence must lie in (0, 1)")
+    n, confidence = _residual_args(n, confidence)
     mean, se = _g_delta_mean(spec, x, params.delta, n, rng, want_se=True)
     z = _ndtri(float(1.0 - (1.0 - confidence) / (2.0 * spec.d)))
     half = z * float(np.linalg.norm(se))
     return ResidualReport(float(np.linalg.norm(mean)), half, n, confidence)
+
+
+def _residual_args(n: int, confidence: float, prefix: str = "") -> tuple[int, float]:
+    """goldstein_residual's checked (n, confidence): an integer n >= 2 and a
+    confidence in (0, 1); prefix goes before the names in the messages."""
+    n = _check_int(prefix + "n", n, 2)
+    if not 0.0 < confidence < 1.0:
+        raise ValueError(f"{prefix}confidence must lie in (0, 1)")
+    return n, float(confidence)
 
 
 def verify_stationary(
@@ -86,9 +92,8 @@ def verify_stationary(
     to a hard cap before giving up with "inconclusive".  A non-finite
     point or eps raises ValueError before any draw.
     """
-    if not 0.0 < eps < math.inf:
-        raise ValueError("eps must be positive and finite")
-    n = max(2, int(n0))
+    eps = _check_real("eps", eps)
+    n = max(2, _check_int("n0", n0, 1))
     while True:
         verdict = _interval_verdict(goldstein_residual(spec, x, params, n, confidence, rng), eps)
         if verdict != "inconclusive" or n >= VERIFY_N_CAP:
@@ -115,8 +120,7 @@ def exact_goldstein_distance(spec: ObjectiveSpec, x: np.ndarray, delta: float) -
     A non-finite point raises ValueError.
     """
     x = _finite_point(spec, x)
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    delta = _check_real("delta", delta)
     if spec.name == "constant":
         return 0.0
     if spec.name == "abs-linear":

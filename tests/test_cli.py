@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qzopt import stationarity
+from qzopt import harness, stationarity
 from qzopt.cli import _chisquare, main
 from test_smoothing import _peak_bytes
 
@@ -77,6 +77,21 @@ def test_non_finite_c_q_exits_2(c_q, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err == "error: c_q must be positive and finite\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("key,bad", [("residual_n", "1"), ("residual_n", "0"),
+                                     ("residual_confidence", "nan"),
+                                     ("residual_confidence", "2.0")])
+def test_bad_residual_args_exit_2_before_the_optimizer(key, bad, tmp_path, monkeypatch, capsys):
+    # residual_n = 1 used to fail only at the residual, after the first cell's optimizer ran
+    def no_run(*args, **kwargs):
+        raise AssertionError("the optimizer ran")
+
+    monkeypatch.setattr(harness, "qgfm", no_run)
+    cfg = tmp_path / "res.cfg"
+    cfg.write_text(CONFIG + f"{key} = {bad}\n")
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {key} must")
 
 
 def test_budget_abort_exit_3(tmp_path, capsys):

@@ -77,6 +77,10 @@ def test_catalog_rejects_bad_args():
                       f_star=0.0, delta_0=0.0, x0=np.zeros(2))
     with pytest.raises(ValueError):
         catalog_make("abs-linear", 2, direction=np.zeros(2))
+    for bad in ([math.nan, 1.0], [math.inf, 1.0], [1.0, -math.inf]):
+        # [nan, 1] used to build an objective whose f is nan everywhere
+        with pytest.raises(ValueError, match="direction must be finite"):
+            catalog_make("abs-linear", 2, direction=np.array(bad))
     with pytest.raises(ValueError):
         catalog_make("abs-linear", 2, noise_scale=0.1, noise_kind="component-subsample")
     with pytest.raises(ValueError):
