@@ -50,7 +50,7 @@ from .oracles import (
 )
 from .rng import substream
 from .smoothing import SmoothingParams, _g_delta_mean, f_delta
-from .stationarity import ResidualReport, goldstein_residual
+from .stationarity import ResidualReport, _residual_args, goldstein_residual
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -191,6 +191,15 @@ def derive_params_qgm_plus(l: float, sigma: float, eps: float, Delta: float, d: 
 
 # ---------------------------------------------------------------------------
 # shared run plumbing
+
+
+def _run_args(budget, residual_n, residual_confidence, trace_ref_n) -> tuple[int, int, float, int]:
+    """The checked (budget, residual_n, residual_confidence, trace_ref_n) of a
+    non-smooth run, taken before its first draw."""
+    residual_n, residual_confidence = _residual_args(residual_n, residual_confidence,
+                                                     prefix="residual_")
+    return (_check_int("budget", budget, 1), residual_n, residual_confidence,
+            _check_int("trace_ref_n", trace_ref_n, 1))
 
 
 def _primary_count(ledger: QueryLedger, model: CostModel, smooth: bool) -> int:
@@ -364,6 +373,8 @@ def qgfm(
     trace_ref_n: int = 2000,
 ) -> RunResult:
     """Plain smoothed-surrogate descent; returns a uniform iterate."""
+    budget, residual_n, residual_confidence, trace_ref_n = _run_args(
+        budget, residual_n, residual_confidence, trace_ref_n)
     x = _finite_point(spec, x0).copy()
     sigma1 = math.sqrt(params.sigma1_sq)
     est_rng = substream(seed, "est")
@@ -412,6 +423,8 @@ def qgfm_plus(
     feed an unused g_T is skipped, keeping the p = 1 ledger equal to
     the plain method's.
     """
+    budget, residual_n, residual_confidence, trace_ref_n = _run_args(
+        budget, residual_n, residual_confidence, trace_ref_n)
 
     def fresh(spec, x, sigma_hat, model, rng, ledger, phase):
         return estimate_grad(spec, x, smoothing, sigma_hat, model, rng, ledger, phase=phase)
@@ -438,4 +451,4 @@ def qgm_plus(
     if spec.smooth_params is None:
         raise ValueError(f"{spec.name!r} exposes no smooth gradient oracle")
     return _recursion("qgm_plus", spec, x0, params, None, model, seed, estimate_sgrad,
-                      estimate_sgrad_diff, trace, budget, 0, 1.0, 0)
+                      estimate_sgrad_diff, trace, _check_int("budget", budget, 1), 0, 1.0, 0)

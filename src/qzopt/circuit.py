@@ -250,20 +250,38 @@ def pipeline_sample_batch(
 
     xi is uniform on m1 bits and each coordinate's bit sum is
     Binomial(m2, 1/2), exactly the marginals the state-vector path
-    measures; the decode from sums onward is shared code.  The sums are
-    drawn and decoded one block of rows at a time: the binomial draws fill
-    elements in order, so the blocks hold the values one whole draw gives.
+    measures; the decode from sums onward is shared code.  The rows are
+    _pipeline_blocks' blocks, collected.
+    """
+    xi, blocks = _pipeline_blocks(layout, n, rng)
+    W = np.empty((n, layout.d))
+    valid = np.empty(n, dtype=bool)
+    for start, stop, W_block, valid_block in blocks:
+        W[start:stop], valid[start:stop] = W_block, valid_block
+    return xi, W, valid
+
+
+def _pipeline_blocks(layout: RegisterLayout, n: int, rng: np.random.Generator):
+    """pipeline_sample_batch's draws as xi, drawn whole now, and a generator
+    of (start, stop, W[start:stop], valid[start:stop]).
+
+    The generator draws and decodes the bit sums one _block_rows(d) block
+    of rows at a time: the binomial draws fill elements in order, so the
+    blocks hold the values one whole draw gives.  Read it to the end, and
+    before the next draw from rng, to leave the stream where one
+    pipeline_sample_batch call does.
     """
     xi = (rng.integers(0, 1 << layout.m1, size=n, dtype=np.int64) if layout.m1 <= 62
           else _xi_from_bits(layout.m1, n, rng))
-    W = np.empty((n, layout.d))
-    valid = np.empty(n, dtype=bool)
+    return xi, _w_blocks(layout, n, rng)
+
+
+def _w_blocks(layout: RegisterLayout, n: int, rng: np.random.Generator):
     step = _block_rows(layout.d)
     for start in range(0, n, step):
         stop = min(start + step, n)
         sums = rng.binomial(layout.m2, 0.5, size=(stop - start, layout.d))
-        W[start:stop], valid[start:stop] = _w_from_sums(sums, layout.m2)
-    return xi, W, valid
+        yield (start, stop, *_w_from_sums(sums, layout.m2))
 
 
 def _xi_from_bits(m1: int, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -10,7 +10,7 @@ import sys
 
 import numpy as np
 
-from .circuit import RegisterLayout, invalid_probability, pipeline_sample_batch
+from .circuit import RegisterLayout, _pipeline_blocks, invalid_probability
 from .harness import (
     ConfigError,
     apply_overrides,
@@ -127,8 +127,19 @@ def _cmd_circuit_demo(args: argparse.Namespace) -> int:
         raise ConfigError("n must be positive")
     seed = args.seed if args.seed is not None else 0
     rng = substream(seed, "circuit-demo")
-    xi, W, valid = pipeline_sample_batch(layout, args.n, rng)
-    n_valid = int(valid.sum())
+    # the draws block by block: the valid last coordinates, in order, fill a
+    # prefix of last, and min and max of the valid rows' norms are exact
+    xi, blocks = _pipeline_blocks(layout, args.n, rng)
+    last = np.empty(args.n)
+    n_valid = 0
+    lo, hi = np.inf, -np.inf
+    for _, _, W, valid in blocks:
+        norms = _row_norms(W)[valid]
+        if norms.size:
+            lo, hi = min(lo, norms.min()), max(hi, norms.max())
+            last[n_valid:n_valid + norms.size] = W[valid, -1]
+            n_valid += norms.size
+    last = last[:n_valid]
     print(f"layout: m1={layout.m1} m2={layout.m2} d={layout.d} "
           f"({layout.total_qubits} qubits total)")
     print(f"invalid outcome probability: exact {invalid_probability(layout):.6g}, "
@@ -136,9 +147,7 @@ def _cmd_circuit_demo(args: argparse.Namespace) -> int:
     if n_valid == 0:
         print("no valid samples drawn")
         return 0
-    norms = _row_norms(W)[valid]
-    print(f"||w|| on valid samples: min {norms.min():.12f} max {norms.max():.12f}")
-    last = W[valid, -1]
+    print(f"||w|| on valid samples: min {lo:.12f} max {hi:.12f}")
     print(f"w_last moments: mean {last.mean():+.4f} var {last.var():.4f}")
     if layout.d == 3:
         from scipy import stats  # kstwo has no scipy.special kernel; only d = 3 loads stats

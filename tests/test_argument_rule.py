@@ -19,6 +19,8 @@ import pytest
 from qzopt import (
     CostModel,
     ObjectiveSpec,
+    QgfmParams,
+    QgfmPlusParams,
     QueryLedger,
     RegisterLayout,
     SmoothingParams,
@@ -34,11 +36,15 @@ from qzopt import (
     f_delta,
     goldstein_residual,
     grad_f_delta_ref,
+    qgfm,
+    qgfm_plus,
+    qgm_plus,
     quantum_mean_cost,
     sample_sphere,
     substream,
     verify_stationary,
 )
+from qzopt import algorithms
 from qzopt.harness import ConfigError, ExperimentConfig
 
 SPEC = catalog_make("abs-linear", 2)
@@ -122,6 +128,29 @@ def _derive_case(derive, args, name):
 CASES += [_derive_case(derive, QGFM_ARGS, name)
           for derive in (derive_params_qgfm, derive_params_qgfm_plus) for name in QGFM_ARGS]
 CASES += [_derive_case(derive_params_qgm_plus, QGM_ARGS, name) for name in QGM_ARGS]
+# the optimizers' run arguments, on three-step schedules
+RUN_ARGS = dict(budget=10**6, residual_n=50, residual_confidence=0.9, trace_ref_n=20)
+RUN_KINDS = {"budget": "int1", "residual_n": "int2", "residual_confidence": "unit",
+             "trace_ref_n": "int1"}
+QGFM_PARAMS = QgfmParams(eta=0.1, T=3, sigma1_sq=0.08)
+PLUS_PARAMS = QgfmPlusParams(eta=0.1, T=3, p=0.5, sigma1_sq=0.08, kappa=12.0)
+
+
+def _run(optimizer, **kw):
+    if optimizer is qgm_plus:
+        return qgm_plus(QUAD, X, PLUS_PARAMS, CostModel(), 0, trace=True, **kw)
+    params = QGFM_PARAMS if optimizer is qgfm else PLUS_PARAMS
+    return optimizer(SPEC, X, params, SM, CostModel(), 0, trace=True, **kw)
+
+
+def _run_case(optimizer, name):
+    args = RUN_ARGS if optimizer is not qgm_plus else {"budget": RUN_ARGS["budget"]}
+    return (f"{optimizer.__name__}.{name}", RUN_KINDS[name],
+            lambda v: _run(optimizer, **{**args, name: v}), RUN_ARGS[name])
+
+
+CASES += [_run_case(optimizer, name) for optimizer in (qgfm, qgfm_plus) for name in RUN_ARGS]
+CASES += [_run_case(qgm_plus, "budget")]
 CONFIG_CASES = [
     ("ExperimentConfig.d", "int1", lambda v: _config(d=v), 3),
     ("ExperimentConfig.eps_grid", "pos", lambda v: _config(eps_grid=(0.4, v)), 0.2),
@@ -155,6 +184,26 @@ def test_bad_values_raise(case):
         except exc:
             continue
         pytest.fail(f"{bad!r} was accepted")
+
+
+RUN_BAD = [("budget", math.nan), ("budget", 1.5), ("residual_n", 1),
+           ("residual_confidence", math.nan), ("trace_ref_n", 2.5), ("trace_ref_n", True)]
+
+
+# a bad run argument raises before the first estimate, not after the last step
+@pytest.mark.parametrize("optimizer,name,bad",
+                         [(opt, name, bad) for opt in (qgfm, qgfm_plus) for name, bad in RUN_BAD]
+                         + [(qgm_plus, name, bad) for name, bad in RUN_BAD if name == "budget"],
+                         ids=lambda v: getattr(v, "__name__", str(v)))
+def test_run_arguments_raise_before_the_first_estimate(monkeypatch, optimizer, name, bad):
+    def no_estimate(*args, **kwargs):
+        raise AssertionError("an estimate was drawn")
+
+    for estimator in ("estimate_grad", "estimate_grad_diff", "estimate_sgrad",
+                      "estimate_sgrad_diff"):
+        monkeypatch.setattr(algorithms, estimator, no_estimate)
+    with pytest.raises(ValueError, match=name):
+        _run(optimizer, **{name: bad})
 
 
 def _canon(r):

@@ -201,14 +201,14 @@ def test_circuit_demo_wide_even_register(capsys):
 
 
 def test_circuit_demo_peak_memory(capsys):
-    # the bit sums are drawn and decoded block by block into W, and the valid rows are
-    # read from W in place, so W is the only n x d array
+    # the bit sums are drawn and decoded block by block and no n x d array is built:
+    # the demo holds xi, the valid last coordinates and one temporary of their length
     args = ["circuit-demo", "--m1", "8", "--m2", "256", "--d", "8", "--seed", "1", "--n"]
     assert main(args + ["100"]) == 0  # imports scipy.special outside the measured call
     n, d = 200_000, 8
     peak = _peak_bytes(lambda: main(args + [str(n)]))
     assert "||w|| on valid samples" in capsys.readouterr().out
-    assert peak < n * d * 8 + 8 * 2**20
+    assert peak < 3 * n * 8 + 2 * 2**20 < n * d * 8
 
 
 def test_circuit_demo_bad_n(capsys):

@@ -1,6 +1,7 @@
 """Bit-exactness of the estimator hot path, large-n estimator means, the
 recursion loop, the reference-side arithmetic (fixed-point emulation,
-closed-form f_delta) and the sampling circuit's measured and pipeline draws.
+closed-form f_delta), the sampling circuit's measured and pipeline draws and
+the stdout of ``qzopt circuit-demo``.
 
 The expected strings below are the exact float64 bytes (hex) of outputs
 recorded from the reference implementation.  Any change to how the
@@ -13,7 +14,9 @@ To re-record after an intended output change, run this file as a script
 (``PYTHONPATH=src python tests/test_hotpath_exact.py``) and paste the
 printed mapping over EXPECTED.
 """
+import contextlib
 import hashlib
+import io
 import os
 import subprocess
 import sys
@@ -54,6 +57,8 @@ from qzopt import (
     substream,
 )
 from qzopt import objectives, smoothing
+from qzopt.circuit import _pipeline_blocks
+from qzopt.cli import main as cli_main
 
 D = 3
 DELTA = 0.2
@@ -441,6 +446,24 @@ def _circuit_outputs() -> dict[str, str]:
     return out
 
 
+# (m1, m2, d, n, seed): the chi2 path, the d = 3 KS path, a layout with more than
+# 1024 xi cells (no chi2 line) and an all-invalid one-draw run
+DEMO_CASES = ((8, 256, 8, 200000, 1), (2, 4, 3, 5000, 1), (12, 3, 2, 3000, 2), (1, 2, 1, 1, 0))
+
+
+def _demo_outputs() -> dict[str, str]:
+    """sha256 of ``qzopt circuit-demo`` stdout."""
+    out = {}
+    for m1, m2, d, n, seed in DEMO_CASES:
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = cli_main(["circuit-demo", "--m1", str(m1), "--m2", str(m2), "--d", str(d),
+                             "--n", str(n), "--seed", str(seed)])
+        out[f"circuit/demo/m1_{m1}_m2_{m2}_d{d}_n{n}_seed{seed}"] = (
+            f"{code}|{hashlib.sha256(buf.getvalue().encode()).hexdigest()}")
+    return out
+
+
 EXPECTED: dict[str, str] = {
     'grad/constant/none/n10/quantum': '000000000000000000000000000000000000000000000000|12|12,0,0|6ba613717d5af63f',
     'grad_diff/constant/none/n10/quantum': '000000000000000000000000000000000000000000000000|40|40,0,0|972e83f3a113d33f',
@@ -651,6 +674,10 @@ EXPECTED: dict[str, str] = {
     'blocked/abs-linear/additive-offset/d64/n10241/y': '27942b8ffcfaa5bf2ccd4ade32cda6bfa9ab7df2a332a8bf11c6ad61abfaa4bf12b231de64d8a3bfd22289a51ad6a3bf53dada12c02ea6bf034d8009a890a4bfab355a0dd2d1a2bf5dc2acdef747a3bf389136f9c7cba5bf11768b43617aa2bf675106e429e7a3bfca31c1489dc3a4bf2b2d331171e0a7bf555d2bc97860a5bfe6279e42eac7a7bfffda75265c55a5bf674294fef79da3bf2c30548d39caa2bf7ebcb3b7e7aea6bff5e715587cb2a4bf0a57cc51a717a6bf283eaecfc0e7a8bfa94a5f9c0f17a8bf03d7bacba06ca6bf96905f5de86aa6bfe4c24bf9d4aaa5bf687caf8aceeba3bfe2ff53ea859ba6bf16a1df82c5e0a3bf79174baed8e0a3bf235245cbd90ba4bf6fa2b6736b65a5bf500f3d051fcda3bf2cd59cdf3f7ca6bf8bb8c61fbb27a4bf47047b3a9803a5bf00ea5ce42cf4a1bf367e89a0f9f9a2bf20040b90cadea4bf121c94288318a2bf28b4c0455aa1a7bf8a07465c5658a5bfee62ad96744ca7bf3b5ba266cddca2bf4632c465ed19a3bfd52ef858cb9fa2bfbb76a4ae351ba2bf15fae007e6b9a2bf374d845abf19a5bfc395c0947614a4bf8451207a8bb9a5bfdafe661e8011a5bf361915844e9ea5bfd6662bc890d5a5bf837c14dbd865a2bf182e5696a5bea3bf6af0d427b007a7bfe3edf7801beea2bf6153e9bc41cea6bf56a2cda44c5ba4bfc8a4d4757dada4bf216fae459e44a4bf|570102f7b01d6c3f6fe7309dfa9b6c3fefa2ef92de6b6c3fd58012e82e436c3f7d0ac77f3fe66b3f8495151820536c3f6652bd54346d6c3fff1b2294ec1a6c3ff6d09cf793636c3f2bc383324fb36b3fa34d25bf03d16c3f48669c7433726c3ffb87cffcff216c3f00c6c86abc1b6c3fbea483e34f496c3fdd96e60c24096c3f82fd1d9e2b6a6c3f9074131ec2496c3fdec04cf9a0f56b3f259733287a876c3fdb5383d566656c3fb33c05ed45666c3f4ac85a0695a66c3fe24ac4e07a5a6c3fc0f85fa2045e6c3f5ad8ed1626826c3ff7566e7c28216c3f997bea07114e6c3fb550f75499016c3fc6e503daf0f86b3fbacba2a488286c3f5b7afc75682c6c3fb92e03118a606c3fd11baba296ea6b3f7e7d95d388d26b3fd89b8f370b386c3fa3bf07faadf86b3fcebbcf0c17286c3fb36ec6aad4366c3f72eb22bf51526c3f71789cf28e276c3faa1482630aea6b3f8eca286519466c3fefbcbc3feea66c3f1c6a4735e9ed6b3fda8fbfe7355d6c3ff89cdc1dd6856c3fe2d2d957a56e6c3fa4e0062391e46b3f86cb8f3a51196c3f824a447b7f7f6b3fc6a908c9d03b6c3f88ab79004ac76b3fa7e0473c3d3b6c3f65bd3be8f86b6c3f4d43f7e58c7b6c3f31aa6e40c9186c3ffd301cc54c506c3f46c8d23d187d6c3f30047cec73146c3f664d6c3388636c3f56dffc9c2d616c3f314f4df9ebe86b3f5380ba95c9fc6b3f|633cda3cdeb2ee3f',
     'blocked/sawtooth/component-subsample/d3/n33000': '4a930e9ce3a0ab3f65b2298885efaf3f36a08f830065ba3f|044b00b16b88563f63fc540e3b76563f2eff82c1b2d2553f|a625bbd51cc50140',
     'blocked/quadratic-smooth/additive-offset/d8/n9097/y/chunk5000': '8dba767cde68833f56931a2642b9863f90f10b63c79d993fe8eb713220d696bfde9a770b114592bf1d417580802f5f3ffe56a1fefd0e883f860612e098d69b3f|bec65d2fafba3f3f0a0c7d185fb53f3f42e1125790ea403f49b60a9a40d1403fb39ce61e6d73403fc608cfe71f6e3f3f6e3ddba259943f3f1c80aeb43934413f|90d0235b4eaff03f',
+    'circuit/demo/m1_8_m2_256_d8_n200000_seed1': '0|fc4c6ee7d8b0294b688eff13752066e4989549b63ac019cf14873adab45bec50',
+    'circuit/demo/m1_2_m2_4_d3_n5000_seed1': '0|47c0f20dbf10729ebebcc18c7cca32f0226cb91ae3173e440a8a3857b8e25100',
+    'circuit/demo/m1_12_m2_3_d2_n3000_seed2': '0|9427bd93a36a66673230602498469936d7b900b832ba32585f42b8f254963293',
+    'circuit/demo/m1_1_m2_2_d1_n1_seed0': '0|0d7797f6dfb0097c6aff214f3b5df64cf297f94af25b80680d4038eee497c8ca',
 }
 
 
@@ -703,6 +730,12 @@ def test_f_delta_closed_bit_exact():
 
 def test_circuit_sampling_bit_exact():
     got = _circuit_outputs()
+    assert {k for k in got if got[k] != EXPECTED.get(k)} == set()
+
+
+def test_circuit_demo_stdout_bit_exact():
+    got = _demo_outputs()
+    assert len(got) == len(DEMO_CASES)
     assert {k for k in got if got[k] != EXPECTED.get(k)} == set()
 
 
@@ -883,11 +916,32 @@ def test_pipeline_batch_blocks_match_whole_draws(m1, m2):
     assert 0 < int(valid.sum()) < n if m2 == 2 else int(valid.sum()) == n
 
 
+# the same layouts: m1 > 62 (object xi), blocks with invalid rows and a partial last block
+@pytest.mark.parametrize("m1,m2", [(8, 2), (8, 256), (64, 2), (124, 3)])
+def test_pipeline_blocks_concatenate_to_the_batch(m1, m2):
+    layout = RegisterLayout(m1=m1, m2=m2, d=8)
+    n = 10_001
+    step = objectives._block_rows(layout.d)
+    rng = substream(21, "pipeline-blocks", m1, m2)
+    xi, blocks = _pipeline_blocks(layout, n, rng)
+    blocks = list(blocks)
+    assert [(start, stop) for start, stop, _, _ in blocks] == [
+        (start, min(start + step, n)) for start in range(0, n, step)]
+    W = np.concatenate([b[2] for b in blocks])
+    valid = np.concatenate([b[3] for b in blocks])
+    got = (xi.dtype, xi.tolist(), _hex(W), valid.tobytes(), _hex(rng.standard_normal()))
+    rng = substream(21, "pipeline-blocks", m1, m2)
+    xi, W, valid = pipeline_sample_batch(layout, n, rng)
+    assert got == (xi.dtype, xi.tolist(), _hex(W), valid.tobytes(), _hex(rng.standard_normal()))
+    if m2 == 2:
+        assert all(0 < int(b[3].sum()) < b[1] - b[0] for b in blocks)
+
+
 if __name__ == "__main__":
     rows = {**_estimate_outputs(), **_reference_outputs(), **_run_outputs(),
             **_budget_outputs(), **_charge_outputs(), **_quantize_outputs(),
             **_emulate_outputs(), **_f_delta_closed_outputs(), **_circuit_outputs(),
-            **_blocked_outputs()}
+            **_blocked_outputs(), **_demo_outputs()}
     print("EXPECTED: dict[str, str] = {")
     for k, v in rows.items():
         print(f"    {k!r}: {v!r},")
