@@ -232,6 +232,7 @@ def measure_sample_batch(
     Invalid rows of W are NaN.  Any state but an unchanged one from
     statevector_apply_h_and_norm has its norm checked on every call.
     """
+    n = _check_int("n", n, 0)
     if state._born is not None and state._born[0] is state.amplitudes:
         cum = state._born[1]
     else:
@@ -253,6 +254,7 @@ def pipeline_sample_batch(
     measures; the decode from sums onward is shared code.  The rows are
     _pipeline_blocks' blocks, collected.
     """
+    n = _check_int("n", n, 0)
     xi, blocks = _pipeline_blocks(layout, n, rng)
     W = np.empty((n, layout.d))
     valid = np.empty(n, dtype=bool)
@@ -342,8 +344,7 @@ def fixed_point_quantize(values: np.ndarray | float, frac_bits: int) -> np.ndarr
     Python floats and arrays: ties go to the even multiple, and a
     negative value that rounds to zero gives -0.0, as np.rint does.
     """
-    if frac_bits < 1:
-        raise ValueError("frac_bits must be >= 1")
+    frac_bits = _check_int("frac_bits", frac_bits, 1)
     scale = float(1 << frac_bits)
     limit = 2.0 ** (52 - frac_bits)
     if isinstance(values, float):
@@ -365,37 +366,6 @@ def fixed_point_quantize(values: np.ndarray | float, frac_bits: int) -> np.ndarr
 _BRANCH_STAGES = ("A+", "A-", "U_F", "U_F", "sub", "Fmul")
 
 
-def _pipeline_core(
-    spec: ObjectiveSpec,
-    points: np.ndarray,
-    params: SmoothingParams,
-    payload,
-    wq: np.ndarray,
-    frac_bits: int,
-) -> list[float]:
-    """Quantized diff = F(x + delta w) - F(x - delta w), scaled by d/(2 delta),
-    for each row x of the checked (k, d) points, on a quantized length-d wq
-    and xi's one-row batch payload: one float per row.
-
-    Each register stage is quantized once for all k branches: the points,
-    then x + delta w and x - delta w for each row in turn.  Those 2k rows go
-    to F as one _F_rows call of 2k one-row sets, each with the bytes of its
-    own call, so every register holds what a branch run alone holds.  x is
-    still quantized on every call, also when it repeats.
-    """
-    q = lambda v: fixed_point_quantize(v, frac_bits)  # noqa: E731
-    delta = params.delta
-    k, d = points.shape
-    xq = q(points)
-    dw = delta * wq
-    shifted = np.empty((2 * k, d))
-    np.add(xq, dw, out=shifted[0::2])
-    np.subtract(xq, dw, out=shifted[1::2])
-    F = _F_rows(spec, q(shifted), payload, sets=2 * k).tolist()
-    scale = spec.d / (2.0 * delta)
-    return [q(q(q(f_plus) - q(f_minus)) * scale) for f_plus, f_minus in zip(F[0::2], F[1::2])]
-
-
 def emulate_U_g(
     spec: ObjectiveSpec,
     x: np.ndarray,
@@ -414,15 +384,7 @@ def emulate_U_g(
     leaves the fixed-point range raises OverflowError (see
     fixed_point_quantize) and leaves the tape as it was.
     """
-    tape = tape or StageTape()
-    fb = layout.frac_bits
-    wq = fixed_point_quantize(_check_point(spec, w), fb)
-    payload = _payload_rows(spec, xi)
-    (scaled,) = _pipeline_core(spec, _check_point(spec, x)[None, :], params, payload, wq, fb)
-    g = fixed_point_quantize(scaled * wq, fb)
-    for stage in _BRANCH_STAGES + ("mul",):
-        tape.note(stage)
-    return g
+    return _emulate(spec, (x,), params, xi, w, layout, tape)
 
 
 def emulate_V_g(
@@ -443,14 +405,38 @@ def emulate_V_g(
     once all of them have run; an OverflowError from either branch, or
     from the final stages, leaves the tape as it was.
     """
-    tape = tape or StageTape()
-    fb = layout.frac_bits
-    wq = fixed_point_quantize(_check_point(spec, w), fb)
+    return _emulate(spec, (x, y), params, xi, w, layout, tape)
+
+
+def _emulate(spec: ObjectiveSpec, points: tuple, params: SmoothingParams, xi: XiSample,
+             w: np.ndarray, layout: RegisterLayout, tape: StageTape | None) -> np.ndarray:
+    """The staged pipeline over one point (U_g) or two (V_g).
+
+    w's shape is checked first, then xi's payload, then the points.  Each
+    branch computes diff = F(x + delta w) - F(x - delta w), scaled by
+    d/(2 delta), on the quantized w; two branches are subtracted; the
+    result is multiplied by the quantized w.  Each register stage is
+    quantized once for all branches: the points, then x + delta w and
+    x - delta w for each point in turn.  Those rows go to F as one _F_rows
+    call of one-row sets, each with the bytes of its own call, so every
+    register holds what a branch run alone holds.  x is still quantized on
+    every call, also when it repeats.
+    """
+    q = lambda v: fixed_point_quantize(v, layout.frac_bits)  # noqa: E731
+    wq = q(_check_point(spec, w))
     payload = _payload_rows(spec, xi)
-    points = np.stack((_check_point(spec, x), _check_point(spec, y)))
-    vx, vy = _pipeline_core(spec, points, params, payload, wq, fb)
-    diff = fixed_point_quantize(vx - vy, fb)
-    g = fixed_point_quantize(diff * wq, fb)
-    for stage in _BRANCH_STAGES * 2 + ("sub", "mul"):
-        tape.note(stage)
+    rows = [_check_point(spec, p) for p in points]
+    k = len(rows)
+    xq = q(rows[0][None, :] if k == 1 else np.stack(rows))
+    dw = params.delta * wq
+    shifted = np.empty((2 * k, spec.d))
+    np.add(xq, dw, out=shifted[0::2])
+    np.subtract(xq, dw, out=shifted[1::2])
+    F = _F_rows(spec, q(shifted), payload, sets=2 * k).tolist()
+    scale = spec.d / (2.0 * params.delta)
+    v = [q(q(q(f_plus) - q(f_minus)) * scale) for f_plus, f_minus in zip(F[0::2], F[1::2])]
+    g = q((v[0] if k == 1 else q(v[0] - v[1])) * wq)
+    if tape is not None:
+        for stage in _BRANCH_STAGES * k + ("sub", "mul")[2 - k:]:
+            tape.note(stage)
     return g

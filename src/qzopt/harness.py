@@ -116,25 +116,19 @@ class ExperimentConfig:
 _BOOL_WORDS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
 
-def _parse_bool(key: str, raw: str) -> bool:
-    try:
-        return _BOOL_WORDS[raw.strip().lower()]
-    except KeyError:
-        raise ConfigError(f"{key} must be a boolean, got {raw!r}") from None
+def _parser(convert, kind: str):
+    """Parser for one value: convert(raw), or a ConfigError saying key must be kind."""
+    def parse(key: str, raw: str):
+        try:
+            return convert(raw)
+        except (KeyError, ValueError):
+            raise ConfigError(f"{key} must be {kind}, got {raw!r}") from None
+    return parse
 
 
-def _parse_float(key: str, raw: str) -> float:
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(f"{key} must be a number, got {raw!r}") from None
-
-
-def _parse_int(key: str, raw: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"{key} must be an integer, got {raw!r}") from None
+_parse_bool = _parser(lambda raw: _BOOL_WORDS[raw.strip().lower()], "a boolean")
+_parse_float = _parser(float, "a number")
+_parse_int = _parser(int, "an integer")
 
 
 def parse_config(text: str) -> dict[str, str]:

@@ -178,10 +178,12 @@ def _g_delta_mean(
     with each chunk and the chunk sums add up in chunk order, so the result
     does not depend on the block size.
     """
-    if not want_se and n <= _CHUNK and (n * spec.d <= _BLOCK or spec.d == 1):
+    if not want_se and n <= _CHUNK and len(_block_bounds(n, spec.d)) == 1:
         # one chunk of one block: the loop's bytes without the loop, which
         # adds the sum into zeros (a -0.0 column sum would become +0.0)
-        mean = np.add.reduce(_chunk_rows(spec, x, y, delta, n, rng), axis=0)
+        W = _sphere_batch(spec.d, n, rng)
+        G = _g_delta_rows(spec, x, delta, W, _sample_xi_batch(spec, n, rng), y)
+        mean = np.add.reduce(G, axis=0)
         mean += 0.0
         mean /= n
         return mean
@@ -190,24 +192,27 @@ def _g_delta_mean(
     left = n
     while left > 0:
         m = min(left, _CHUNK)
-        if m * spec.d <= _BLOCK or spec.d == 1:
-            G = _chunk_rows(spec, x, y, delta, m, rng)
-            total += np.add.reduce(G, axis=0)
-            if want_se:
-                G *= G
-                total_sq += np.add.reduce(G, axis=0)
+        bounds = _block_bounds(m, spec.d)
+        if spec.noise_kind == "none":
+            blocks = _sphere_blocks(spec.d, bounds, rng)
         else:
-            bounds = _block_bounds(m, spec.d)
-            if spec.noise_kind == "none":
-                blocks = _sphere_blocks(spec.d, bounds, rng)
-            else:
-                W = _sphere_batch(spec.d, m, rng)
-                payload = _sample_xi_batch(spec, m, rng)
-                blocks = ((W[a:b], payload[a:b]) for a, b in bounds)
-            acc, acc_sq = _blocked_sums(spec, x, y, delta, blocks, want_se)
-            total += acc
+            W = _sphere_batch(spec.d, m, rng)
+            payload = _sample_xi_batch(spec, m, rng)
+            blocks = ((W[a:b], payload[a:b]) for a, b in bounds)
+        acc = acc_sq = None
+        for Wb, pb in blocks:
+            G = _g_delta_rows(spec, x, delta, Wb, pb, y)
             if want_se:
-                total_sq += acc_sq
+                sq = G * G
+                if acc_sq is not None:
+                    sq[0] += acc_sq
+                acc_sq = np.add.reduce(sq, axis=0)
+            if acc is not None:
+                G[0] += acc
+            acc = np.add.reduce(G, axis=0)
+        total += acc
+        if want_se:
+            total_sq += acc_sq
         left -= m
     mean = total / n
     if not want_se:
@@ -220,22 +225,11 @@ def _g_delta_mean(
     return mean, se
 
 
-def _chunk_rows(
-    spec: ObjectiveSpec,
-    x: np.ndarray,
-    y: np.ndarray | None,
-    delta: float,
-    m: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """The estimates of one single-block chunk of m rows: W, then the
-    payload, drawn whole."""
-    W = _sphere_batch(spec.d, m, rng)
-    return _g_delta_rows(spec, x, delta, W, _sample_xi_batch(spec, m, rng), y)
-
-
 def _block_bounds(m: int, d: int) -> list[tuple[int, int]]:
-    """Compute-block row ranges of an m-row chunk (see _g_delta_mean)."""
+    """Compute-block row ranges of an m-row chunk (see _g_delta_mean): one
+    block for at most _BLOCK elements or at d = 1."""
+    if m * d <= _BLOCK or d == 1:
+        return [(0, m)]
     step = _block_rows(d)
     bounds = []
     start = 0
@@ -265,31 +259,6 @@ def _sphere_blocks(d: int, bounds: list[tuple[int, int]], rng: np.random.Generat
         for a, b in bounds[i:]:
             yield W[a - start:b - start], None
         return
-
-
-def _blocked_sums(
-    spec: ObjectiveSpec,
-    x: np.ndarray,
-    y: np.ndarray | None,
-    delta: float,
-    blocks,
-    want_se: bool,
-):
-    """Column sums of one chunk's estimates and, with want_se, of their
-    squares, over its compute blocks, (W, payload) row pairs in order, with
-    a carried sum (see _g_delta_mean)."""
-    acc = acc_sq = None
-    for Wb, pb in blocks:
-        G = _g_delta_rows(spec, x, delta, Wb, pb, y)
-        if want_se:
-            sq = G * G
-            if acc_sq is not None:
-                sq[0] += acc_sq
-            acc_sq = np.add.reduce(sq, axis=0)
-        if acc is not None:
-            G[0] += acc
-        acc = np.add.reduce(G, axis=0)
-    return acc, acc_sq
 
 
 # ---------------------------------------------------------------------------

@@ -34,13 +34,18 @@ from qzopt import (
     estimate_sgrad_diff,
     exact_goldstein_distance,
     f_delta,
+    fixed_point_quantize,
     goldstein_residual,
     grad_f_delta_ref,
+    measure_sample_batch,
+    pipeline_sample_batch,
     qgfm,
     qgfm_plus,
     qgm_plus,
     quantum_mean_cost,
     sample_sphere,
+    statevector_apply_h_and_norm,
+    statevector_prepare,
     substream,
     verify_stationary,
 )
@@ -52,6 +57,8 @@ QUAD = catalog_make("quadratic-smooth", 2, noise_scale=0.5)
 SM = SmoothingParams(0.1)
 X = np.array([0.1, 0.1])
 Y = np.array([0.2, -0.1])
+LAYOUT = RegisterLayout(1, 2, 2)
+STATE = statevector_apply_h_and_norm(statevector_prepare(LAYOUT))
 
 
 def _spec(**kw):
@@ -85,6 +92,9 @@ CASES = [
     ("RegisterLayout.m2", "int1", lambda v: RegisterLayout(1, v, 2), 3),
     ("RegisterLayout.d", "int1", lambda v: RegisterLayout(1, 2, v), 3),
     ("RegisterLayout.frac_bits", "int1", lambda v: RegisterLayout(1, 2, 2, v), 16),
+    ("fixed_point_quantize.frac_bits", "int1", lambda v: fixed_point_quantize(0.3, v), 8),
+    ("measure_sample_batch.n", "int0", lambda v: measure_sample_batch(STATE, v, _rng()), 3),
+    ("pipeline_sample_batch.n", "int0", lambda v: pipeline_sample_batch(LAYOUT, v, _rng()), 3),
     ("CostModel.c_q", "pos", lambda v: CostModel(c_q=v), 2.5),
     ("CostModel.log_k", "int0", lambda v: CostModel(log_k=v), 2),
     ("quantum_mean_cost.L_hat", "nonneg", lambda v: quantum_mean_cost(v, 4, 0.5, CostModel()), 2.0),

@@ -300,3 +300,32 @@ def test_emulation_overflow_keeps_error_and_tape(problem, bad):
         assert str(err.value) == "value outside fixed-point range (+-2^20)"
         # an error leaves the tape as it was
         assert (tape.stages, tape.uf_calls) == before
+
+
+def test_emulation_checks_w_then_payload_then_points():
+    spec = qz.catalog_make("abs-linear", 2, noise_scale=0.1)
+    lay = qz.RegisterLayout(m1=1, m2=2, d=2, frac_bits=32)
+    sm = qz.SmoothingParams(0.5)
+    w, ok, xi = np.array([1.0, 0.0]), np.array([0.3, -0.1]), sample_xi(spec, substream(0, "ord"))
+    bad_w, bad_x, bad_y = np.zeros(3), np.zeros(4), np.zeros(5)
+    no_payload = qz.XiSample(None)
+    # (emulate, points, size of the first bad point)
+    for emulate, points, size in ((qz.emulate_U_g, (bad_x,), 4),
+                                  (qz.emulate_V_g, (bad_x, bad_y), 4),
+                                  (qz.emulate_V_g, (ok, bad_y), 5)):
+        tape = qz.StageTape()
+        with pytest.raises(ValueError, match=r"got \(3,\)"):
+            emulate(spec, *points, sm, no_payload, bad_w, lay, tape)
+        with pytest.raises(ValueError, match="no payload"):
+            emulate(spec, *points, sm, no_payload, w, lay, tape)
+        with pytest.raises(ValueError, match=rf"got \({size},\)"):
+            emulate(spec, *points, sm, xi, w, lay, tape)
+        assert tape.stages == []
+
+
+def test_empty_sample_batches():
+    lay = qz.RegisterLayout(m1=2, m2=2, d=3)
+    state = qz.statevector_apply_h_and_norm(qz.statevector_prepare(lay))
+    for xi, W, valid in (qz.measure_sample_batch(state, 0, substream(0, "empty")),
+                         qz.pipeline_sample_batch(lay, 0, substream(0, "empty"))):
+        assert (xi.shape, W.shape, valid.shape) == ((0,), (0, 3), (0,))

@@ -86,12 +86,15 @@ def test_config_mapping_errors():
     no_eps = {k: v for k, v in base.items() if k != "eps"}
     with pytest.raises(ConfigError, match="exactly one of eps"):
         config_from_mapping(no_eps)
-    with pytest.raises(ConfigError, match="must be an integer"):
-        config_from_mapping({**base, "d": "two"})
-    with pytest.raises(ConfigError, match="must be a number"):
-        config_from_mapping({**base, "eps": "tiny"})
-    with pytest.raises(ConfigError, match="must be a boolean"):
-        config_from_mapping({**base, "timings": "maybe"})
+    for key, raw, want in (
+            ("d", "two", "d must be an integer, got 'two'"),
+            ("seeds", "0, 1.5", "seeds must be an integer, got ' 1.5'"),
+            ("eps", "tiny", "eps must be a number, got 'tiny'"),
+            ("residual_confidence", "", "residual_confidence must be a number, got ''"),
+            ("timings", "Maybe ", "timings must be a boolean, got 'Maybe '")):
+        with pytest.raises(ConfigError) as err:
+            config_from_mapping({**base, key: raw})
+        assert str(err.value) == want
     for bad in ("nan", "inf", "-0.1"):
         # noise_scale = nan used to run noise-free and exit 0
         with pytest.raises(ConfigError, match="noise_scale must be non-negative and finite"):

@@ -153,13 +153,20 @@ def _reference_outputs() -> dict[str, str]:
 
 # (problem, d, noise_scale, noise_kind, n, with y, draw chunk or None for the default):
 # large-n estimator means over many compute blocks, a trailing one-row block (n = 20*512 + 1
-# at d=64) and, with a 5000-row draw chunk, several chunks per call
+# at d=64) and, with a 5000-row draw chunk, several chunks per call; d = 1 chunks past one
+# block of elements, which stay one block, and 5700 rows in 5000-row chunks, whose last
+# chunk is one block
 BLOCKED_CASES = (
     ("abs-linear", 64, 0.0, None, 80_000, False, None),
     ("quadratic-smooth", 8, 0.5, None, 20_000, False, None),
     ("abs-linear", 64, 0.2, None, 10_241, True, None),
     ("sawtooth", 3, 0.0, "component-subsample", 33_000, False, None),
     ("quadratic-smooth", 8, 0.5, None, 9_097, True, 5000),
+    ("sawtooth", 1, 0.0, None, 40_000, False, None),
+    ("abs-linear", 1, 0.3, None, 40_000, False, None),
+    ("abs-linear", 1, 0.3, None, 40_000, True, None),
+    ("abs-linear", 8, 0.0, None, 5_700, False, 5000),
+    ("quadratic-smooth", 8, 0.5, None, 5_700, False, 5000),
 )
 
 
@@ -674,6 +681,11 @@ EXPECTED: dict[str, str] = {
     'blocked/abs-linear/additive-offset/d64/n10241/y': '27942b8ffcfaa5bf2ccd4ade32cda6bfa9ab7df2a332a8bf11c6ad61abfaa4bf12b231de64d8a3bfd22289a51ad6a3bf53dada12c02ea6bf034d8009a890a4bfab355a0dd2d1a2bf5dc2acdef747a3bf389136f9c7cba5bf11768b43617aa2bf675106e429e7a3bfca31c1489dc3a4bf2b2d331171e0a7bf555d2bc97860a5bfe6279e42eac7a7bfffda75265c55a5bf674294fef79da3bf2c30548d39caa2bf7ebcb3b7e7aea6bff5e715587cb2a4bf0a57cc51a717a6bf283eaecfc0e7a8bfa94a5f9c0f17a8bf03d7bacba06ca6bf96905f5de86aa6bfe4c24bf9d4aaa5bf687caf8aceeba3bfe2ff53ea859ba6bf16a1df82c5e0a3bf79174baed8e0a3bf235245cbd90ba4bf6fa2b6736b65a5bf500f3d051fcda3bf2cd59cdf3f7ca6bf8bb8c61fbb27a4bf47047b3a9803a5bf00ea5ce42cf4a1bf367e89a0f9f9a2bf20040b90cadea4bf121c94288318a2bf28b4c0455aa1a7bf8a07465c5658a5bfee62ad96744ca7bf3b5ba266cddca2bf4632c465ed19a3bfd52ef858cb9fa2bfbb76a4ae351ba2bf15fae007e6b9a2bf374d845abf19a5bfc395c0947614a4bf8451207a8bb9a5bfdafe661e8011a5bf361915844e9ea5bfd6662bc890d5a5bf837c14dbd865a2bf182e5696a5bea3bf6af0d427b007a7bfe3edf7801beea2bf6153e9bc41cea6bf56a2cda44c5ba4bfc8a4d4757dada4bf216fae459e44a4bf|570102f7b01d6c3f6fe7309dfa9b6c3fefa2ef92de6b6c3fd58012e82e436c3f7d0ac77f3fe66b3f8495151820536c3f6652bd54346d6c3fff1b2294ec1a6c3ff6d09cf793636c3f2bc383324fb36b3fa34d25bf03d16c3f48669c7433726c3ffb87cffcff216c3f00c6c86abc1b6c3fbea483e34f496c3fdd96e60c24096c3f82fd1d9e2b6a6c3f9074131ec2496c3fdec04cf9a0f56b3f259733287a876c3fdb5383d566656c3fb33c05ed45666c3f4ac85a0695a66c3fe24ac4e07a5a6c3fc0f85fa2045e6c3f5ad8ed1626826c3ff7566e7c28216c3f997bea07114e6c3fb550f75499016c3fc6e503daf0f86b3fbacba2a488286c3f5b7afc75682c6c3fb92e03118a606c3fd11baba296ea6b3f7e7d95d388d26b3fd89b8f370b386c3fa3bf07faadf86b3fcebbcf0c17286c3fb36ec6aad4366c3f72eb22bf51526c3f71789cf28e276c3faa1482630aea6b3f8eca286519466c3fefbcbc3feea66c3f1c6a4735e9ed6b3fda8fbfe7355d6c3ff89cdc1dd6856c3fe2d2d957a56e6c3fa4e0062391e46b3f86cb8f3a51196c3f824a447b7f7f6b3fc6a908c9d03b6c3f88ab79004ac76b3fa7e0473c3d3b6c3f65bd3be8f86b6c3f4d43f7e58c7b6c3f31aa6e40c9186c3ffd301cc54c506c3f46c8d23d187d6c3f30047cec73146c3f664d6c3388636c3f56dffc9c2d616c3f314f4df9ebe86b3f5380ba95c9fc6b3f|633cda3cdeb2ee3f',
     'blocked/sawtooth/component-subsample/d3/n33000': '4a930e9ce3a0ab3f65b2298885efaf3f36a08f830065ba3f|044b00b16b88563f63fc540e3b76563f2eff82c1b2d2553f|a625bbd51cc50140',
     'blocked/quadratic-smooth/additive-offset/d8/n9097/y/chunk5000': '8dba767cde68833f56931a2642b9863f90f10b63c79d993fe8eb713220d696bfde9a770b114592bf1d417580802f5f3ffe56a1fefd0e883f860612e098d69b3f|bec65d2fafba3f3f0a0c7d185fb53f3f42e1125790ea403f49b60a9a40d1403fb39ce61e6d73403fc608cfe71f6e3f3f6e3ddba259943f3f1c80aeb43934413f|90d0235b4eaff03f',
+    'blocked/sawtooth/none/d1/n40000': 'ff91c6bd868abe3f|f452ba0ef27aa43d|3e30741f6064f0bf',
+    'blocked/abs-linear/additive-offset/d1/n40000': 'e75cf3c65a83c13f|0000000000000000|b7c771b9b856e03f',
+    'blocked/abs-linear/additive-offset/d1/n40000/y': 'c17d2805cd33813f|0000000000000000|4d995067ca92f6bf',
+    'blocked/abs-linear/none/d8/n5700/chunk5000': '8ba3af8497aa9fbf0f4e4c028a02a0bf5f389d443f929ebf1f0b8fa2e973a0bff0da885e96b59bbf2703adbb3dc6a0bf1fdd910f29699fbf647158e16cfb9fbf|573df5db6229553f9fdb77f7846c553fc8df54ae9ba3553f912548e9b1aa553f6a3e77a3bb50553fda1af295a124553f6f82af1e8799553f9cecf70a714d553f|4ff718f64f8ac23f',
+    'blocked/quadratic-smooth/additive-offset/d8/n5700/chunk5000': '0150628a79ba9dbff8e9e3994240a03fc7c653cbd11ba13f3a089a07b010a2bf974d687966bf4dbfae95fd630ca1afbf1b17921d416290bf8913b72f893a9e3f|456594724a2e7b3f2e875223557f7b3f01fefc604ab07b3f5f7b6e30fcb67b3f42b86ace0a277c3f76cc4e5680317c3fe0363053903d7b3fe0d5d2530fac7b3f|cc9103368ec5d3bf',
     'circuit/demo/m1_8_m2_256_d8_n200000_seed1': '0|fc4c6ee7d8b0294b688eff13752066e4989549b63ac019cf14873adab45bec50',
     'circuit/demo/m1_2_m2_4_d3_n5000_seed1': '0|47c0f20dbf10729ebebcc18c7cca32f0226cb91ae3173e440a8a3857b8e25100',
     'circuit/demo/m1_12_m2_3_d2_n3000_seed2': '0|9427bd93a36a66673230602498469936d7b900b832ba32585f42b8f254963293',

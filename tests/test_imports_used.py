@@ -170,6 +170,47 @@ def _loads(node) -> set[str]:
     return out
 
 
+def unloaded_private_defs(sources: dict[str, str]) -> list[str]:
+    """Module-level private functions and classes of ``sources`` (module name ->
+    text) that no live code loads.
+
+    Every top-level statement but a private def is live (public defs, assignments,
+    module code), and so is each private def that live code loads by name or as an
+    attribute; an import is not a load.  So a helper that only an import, a dead
+    helper or itself refers to is reported, which the reference scan above lets pass.
+    """
+    private, live = {}, []
+    for mod, text in sources.items():
+        for node in ast.parse(text).body:
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and node.name.startswith("_") and not node.name.startswith("__")):
+                private.setdefault(node.name, []).append((mod, node))
+            else:
+                live.append(node)
+    seen = set()
+    while live:
+        for name in _loads(live.pop()) & private.keys() - seen:
+            seen.add(name)
+            live += [node for _, node in private[name]]
+    return sorted(f"{mod}.{name} (line {node.lineno})" for name, defs in private.items()
+                  if name not in seen for mod, node in defs)
+
+
+def test_scan_finds_an_unloaded_private_def():
+    sources = {
+        "a": "from .b import _imported\n\ndef _core(n):\n    return _rows(n)\n\n"
+             "def _rows(n):\n    return _core(n - 1)\n\ndef _used():\n    return 1\n\n"
+             "class _Spec: ...\n\nLIMIT = _used()\n",
+        "b": "def _imported(): ...\n\ndef f(m):\n    return m._Spec()\n",
+    }
+    assert unloaded_private_defs(sources) == [
+        "a._core (line 3)", "a._rows (line 6)", "b._imported (line 1)"]
+
+
+def test_private_defs_are_loaded():
+    assert unloaded_private_defs({p.stem: p.read_text() for p in ALL_FILES}) == []
+
+
 def unloaded_exports(init: str, modules: dict[str, str], programs: list[str]) -> list[str]:
     """Names the package ``__init__`` re-exports (``from .mod import name``) that no
     code loads outside their own definition: no statement of ``modules`` (module
