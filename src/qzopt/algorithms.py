@@ -72,6 +72,9 @@ DEFAULT_BUDGET = 10**9
 # yields exactly the values of k scalar uniform() calls.
 _COIN_BLOCK = 4096
 
+# The first iterate store holds at most this many elements (8 MiB).
+_STORE_ELEMS = 1 << 20
+
 
 @dataclass
 class QgfmParams:
@@ -256,10 +259,32 @@ def _trace_row(
     return cur
 
 
+def _trajectory(spec: ObjectiveSpec, x0: np.ndarray, T: int) -> np.ndarray:
+    """The iterate store of a T-step run, row 0 holding the checked x0.
+
+    Row t + 1 is written once, when step t is taken.  The store starts
+    with T + 1 rows, or with _STORE_ELEMS elements' worth of rows when
+    that is fewer, and _grown doubles it when a run reaches its last row:
+    a budget can stop a run long before T, and T + 1 rows may be more
+    than the system will map.  np.empty touches no page before a row is
+    written, so a run cut short pays only for the rows it reached.
+    """
+    store = np.empty((min(T, max(1, _STORE_ELEMS // spec.d)) + 1, spec.d))
+    store[0] = _finite_point(spec, x0)
+    return store
+
+
+def _grown(store: np.ndarray, T: int) -> np.ndarray:
+    """A copy of store with twice its rows, at most T + 1."""
+    grown = np.empty((min(T + 1, 2 * len(store)), store.shape[1]))
+    grown[:len(store)] = store
+    return grown
+
+
 def _finish(
     algorithm: str,
     spec: ObjectiveSpec,
-    candidates: list[np.ndarray],
+    candidates: np.ndarray,
     smoothing: SmoothingParams | None,
     seed: int,
     ledger: QueryLedger,
@@ -271,7 +296,8 @@ def _finish(
     residual_confidence: float,
 ) -> RunResult:
     pick = substream(seed, "out")
-    x_out = candidates[int(pick.integers(len(candidates)))]
+    # a copy, so the result does not keep the whole trajectory alive
+    x_out = candidates[int(pick.integers(len(candidates)))].copy()
     if smoothing is not None:
         residual = goldstein_residual(
             spec, x_out, smoothing, residual_n, residual_confidence, substream(seed, "residual")
@@ -298,10 +324,11 @@ def _coins(rng: np.random.Generator):
         yield from rng.uniform(size=_COIN_BLOCK).tolist()
 
 
-def _step_len(x_next: np.ndarray, x: np.ndarray) -> float:
+def _step(x_next: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, float]:
+    """The step x_next - x and its norm, as the difference estimators take it."""
     # np.linalg.norm of a 1-D float array is sqrt(v.dot(v))
     v = x_next - x
-    return math.sqrt(v.dot(v))
+    return v, math.sqrt(v.dot(v))
 
 
 def _recursion(
@@ -312,45 +339,48 @@ def _recursion(
     """The biased-coin recursion behind ``qgfm_plus`` and ``qgm_plus``.
 
     fresh and diff are called like ``estimate_sgrad`` and
-    ``estimate_sgrad_diff``.  smoothing is None on the smooth track, which
-    selects the gradient-oracle budget counter and the exact residual and
-    phi, leaving residual_n, residual_confidence and trace_ref_n unused.
+    ``estimate_sgrad_diff``; diff also gets the step it estimates across
+    as ``_step``.  smoothing is None on the smooth track, which selects
+    the gradient-oracle budget counter and the exact residual and phi,
+    leaving residual_n, residual_confidence and trace_ref_n unused.
     """
-    x = _finite_point(spec, x0).copy()
+    eta, T, p, sqrt_kappa = params.eta, params.T, params.p, math.sqrt(params.kappa)
+    store = _trajectory(spec, x0, T)
     sigma1 = math.sqrt(params.sigma1_sq)
     est_rng = substream(seed, "est")
     ledger = QueryLedger()
     records: list[TraceRecord] = []
-    candidates: list[np.ndarray] = []
-    exceeded = False
+    steps, exceeded = T, False
     prev = (0, 0, 0)
     smooth = smoothing is None
     coins = _coins(substream(seed, "coin"))
-    eta, T, p, sqrt_kappa = params.eta, params.T, params.p, math.sqrt(params.kappa)
-    g = fresh(spec, x, sigma1, model, est_rng, ledger, phase="init").value
+    g = fresh(spec, store[0], sigma1, model, est_rng, ledger, phase="init").value
     for t in range(T):
-        candidates.append(x)  # x is never modified in place
+        if t + 1 == len(store):
+            store = _grown(store, T)
+        x, x_next = store[t], store[t + 1]
         g_step = g
-        x_next = x - eta * g_step
+        np.subtract(x, eta * g_step, out=x_next)
         theta = 1
+        step = None
         if t + 1 < T:
             theta = 1 if next(coins) < p else 0
             if theta:
                 g = fresh(spec, x_next, sigma1, model, est_rng, ledger, phase="refresh").value
             else:
-                step_len = _step_len(x_next, x)
-                if step_len > 0.0:
-                    g = g + diff(spec, x_next, x, sqrt_kappa * step_len, model, est_rng, ledger,
-                                 phase="diff").value
+                step = _step(x_next, x)
+                if step[1] > 0.0:
+                    g = g + diff(spec, x_next, x, sqrt_kappa * step[1], model, est_rng, ledger,
+                                 phase="diff", _step=step).value
         if trace:
+            if step is None:
+                step = _step(x_next, x)
             diagnostic = _phi_diagnostic(spec, x, g_step, eta, p, smoothing, seed, t, trace_ref_n)
-            prev = _trace_row(records, ledger, prev, t, g_step, _step_len(x_next, x), theta,
-                              diagnostic)
-        x = x_next
+            prev = _trace_row(records, ledger, prev, t, g_step, step[1], theta, diagnostic)
         if _primary_count(ledger, model, smooth) > budget:
-            exceeded = True
+            steps, exceeded = t + 1, True
             break
-    return _finish(algorithm, spec, candidates, smoothing, seed, ledger, T, p,
+    return _finish(algorithm, spec, store[:steps], smoothing, seed, ledger, T, p,
                    exceeded, records, residual_n, residual_confidence)
 
 
@@ -375,16 +405,18 @@ def qgfm(
     """Plain smoothed-surrogate descent; returns a uniform iterate."""
     budget, residual_n, residual_confidence, trace_ref_n = _run_args(
         budget, residual_n, residual_confidence, trace_ref_n)
-    x = _finite_point(spec, x0).copy()
+    T = params.T
+    store = _trajectory(spec, x0, T)
     sigma1 = math.sqrt(params.sigma1_sq)
     est_rng = substream(seed, "est")
     ledger = QueryLedger()
     records: list[TraceRecord] = []
-    candidates: list[np.ndarray] = []
-    exceeded = False
+    steps, exceeded = T, False
     prev = (0, 0, 0)
-    for t in range(params.T):
-        candidates.append(x)  # x is never modified in place
+    for t in range(T):
+        if t + 1 == len(store):
+            store = _grown(store, T)
+        x = store[t]
         est = estimate_grad(spec, x, smoothing, sigma1, model, est_rng, ledger, phase="refresh")
         g = est.value
         step = params.eta * g
@@ -393,11 +425,11 @@ def qgfm(
                                          trace_ref_n)
             prev = _trace_row(records, ledger, prev, t, g, float(np.linalg.norm(step)), 1,
                               diagnostic)
-        x = x - step
+        np.subtract(x, step, out=store[t + 1])
         if _primary_count(ledger, model, smooth=False) > budget:
-            exceeded = True
+            steps, exceeded = t + 1, True
             break
-    return _finish("qgfm", spec, candidates, smoothing, seed, ledger, params.T, None,
+    return _finish("qgfm", spec, store[:steps], smoothing, seed, ledger, T, None,
                    exceeded, records, residual_n, residual_confidence)
 
 
@@ -429,9 +461,9 @@ def qgfm_plus(
     def fresh(spec, x, sigma_hat, model, rng, ledger, phase):
         return estimate_grad(spec, x, smoothing, sigma_hat, model, rng, ledger, phase=phase)
 
-    def diff(spec, x, y, sigma_hat, model, rng, ledger, phase):
+    def diff(spec, x, y, sigma_hat, model, rng, ledger, phase, _step):
         return estimate_grad_diff(spec, x, y, smoothing, sigma_hat, model, rng, ledger,
-                                  phase=phase)
+                                  phase=phase, _step=_step)
 
     return _recursion("qgfm_plus", spec, x0, params, smoothing, model, seed, fresh, diff,
                       trace, budget, residual_n, residual_confidence, trace_ref_n)

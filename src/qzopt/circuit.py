@@ -344,22 +344,34 @@ def fixed_point_quantize(values: np.ndarray | float, frac_bits: int) -> np.ndarr
     Python floats and arrays: ties go to the even multiple, and a
     negative value that rounds to zero gives -0.0, as np.rint does.
     """
-    frac_bits = _check_int("frac_bits", frac_bits, 1)
-    scale = float(1 << frac_bits)
-    limit = 2.0 ** (52 - frac_bits)
+    return _quantize(values, *_grid(_check_int("frac_bits", frac_bits, 1)))
+
+
+def _grid(frac_bits: int) -> tuple[float, float]:
+    """The (scale, limit) of a checked width: 2^frac_bits and 2^(52 - frac_bits)."""
+    return float(1 << frac_bits), 2.0 ** (52 - frac_bits)
+
+
+def _quantize(values: np.ndarray | float, scale: float, limit: float) -> np.ndarray | float:
+    """fixed_point_quantize on the grid _grid gives for its width."""
     if isinstance(values, float):
         # round() is exact half-to-even on |v * scale| < 2^52; copysign keeps -0.0
         if not abs(values) < limit:
-            raise OverflowError(f"value outside fixed-point range (+-2^{52 - frac_bits})")
+            _out_of_range(limit)
         return math.copysign(round(values * scale) / scale, values)
     arr = np.asarray(values, dtype=float)
     if np.count_nonzero(np.abs(arr) < limit) != arr.size:
-        raise OverflowError(f"value outside fixed-point range (+-2^{52 - frac_bits})")
+        _out_of_range(limit)
     snapped = np.rint(arr * scale)
     snapped /= scale
     if snapped.ndim == 0:
         return float(snapped)
     return snapped
+
+
+def _out_of_range(limit: float):
+    # limit is the power of two 2^(52 - frac_bits), so log2 is exact
+    raise OverflowError(f"value outside fixed-point range (+-2^{math.log2(limit):g})")
 
 
 # The stages one branch point runs, in tape order.
@@ -420,9 +432,11 @@ def _emulate(spec: ObjectiveSpec, points: tuple, params: SmoothingParams, xi: Xi
     x - delta w for each point in turn.  Those rows go to F as one _F_rows
     call of one-row sets, each with the bytes of its own call, so every
     register holds what a branch run alone holds.  x is still quantized on
-    every call, also when it repeats.
+    every call, also when it repeats.  layout checked frac_bits, so the
+    grid is worked out once and the checks are not repeated per stage.
     """
-    q = lambda v: fixed_point_quantize(v, layout.frac_bits)  # noqa: E731
+    grid = _grid(layout.frac_bits)
+    q = lambda v: _quantize(v, *grid)  # noqa: E731
     wq = q(_check_point(spec, w))
     payload = _payload_rows(spec, xi)
     rows = [_check_point(spec, p) for p in points]

@@ -156,6 +156,26 @@ def _quantum_count(model: CostModel, raw: float, sigma_hat: float) -> int:
     return max(1, math.ceil(raw)) * model.log_multiplier(sigma_hat)
 
 
+def _diff_step(
+    spec: ObjectiveSpec, x: np.ndarray, y: np.ndarray, step: tuple[np.ndarray, float] | None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float] | None:
+    """The checked (x, y, x - y, ||x - y||) of a difference estimate, or None
+    when x == y.
+
+    step is an optimizer loop's (x - y, ||x - y||) for a step of positive
+    length between two points it has checked; it is taken as given, so the
+    point checks, the x == y test and the recomputation are skipped.
+    """
+    if step is not None:
+        return x, y, *step
+    x = _check_point(spec, x)
+    y = _check_point(spec, y)
+    if not np.count_nonzero(x != y):  # x == y
+        return None
+    v = x - y
+    return x, y, v, math.sqrt(v.dot(v))
+
+
 # ---------------------------------------------------------------------------
 # accuracy-targeted estimators
 
@@ -196,21 +216,22 @@ def estimate_grad_diff(
     rng: np.random.Generator,
     ledger: QueryLedger,
     phase: str | None = None,
+    *,
+    _step: tuple[np.ndarray, float] | None = None,
 ) -> GradEstimate:
     """Unbiased estimate of grad f_delta(x) - grad f_delta(y).
 
     Uses shared (w, xi) draws so the per-sample deviation scales with
     ||x - y||.  x == y is degenerate: the exact zero vector is returned
-    and nothing is charged.
+    and nothing is charged.  _step is private to the optimizer loops
+    (see _diff_step).
     """
-    x = _check_point(spec, x)
-    y = _check_point(spec, y)
-    if not np.count_nonzero(x != y):  # x == y
+    step = _diff_step(spec, x, y, _step)
+    if step is None:
         return GradEstimate(np.zeros(spec.d), 0)
+    x, y, _, dist = step
     sigma_hat = _check_real("sigma_hat", sigma_hat)
     d, L, delta = spec.d, spec.L, params.delta
-    v = x - y
-    dist = math.sqrt(v.dot(v))
     n = max(
         1,
         math.ceil(
@@ -257,23 +278,24 @@ def estimate_sgrad_diff(
     rng: np.random.Generator,
     ledger: QueryLedger,
     phase: str | None = None,
+    *,
+    _step: tuple[np.ndarray, float] | None = None,
 ) -> GradEstimate:
     """Smooth track: estimate grad f(x) - grad f(y) with shared noise draws.
 
     For the catalog's quadratic the shared-draw difference is deterministic
     (the additive gradient noise cancels), so the realized value is exact;
-    the ledger still charges the contract rate.
+    the ledger still charges the contract rate.  _step is private to the
+    optimizer loops (see _diff_step).
     """
     if spec.smooth_params is None:
         raise ValueError(f"{spec.name!r} exposes no smooth gradient oracle")
-    x = _check_point(spec, x)
-    y = _check_point(spec, y)
-    if not np.count_nonzero(x != y):  # x == y
+    step = _diff_step(spec, x, y, _step)
+    if step is None:
         return GradEstimate(np.zeros(spec.d), 0)
+    _, _, v, dist = step
     sigma_hat = _check_real("sigma_hat", sigma_hat)
     l, _ = spec.smooth_params
-    v = x - y
-    dist = math.sqrt(v.dot(v))
     value = spec.lambdas * v
     raw = model.c_q * math.sqrt(spec.d) * l * dist / sigma_hat
     charged = _charge(ledger, model, phase, _quantum_count(model, raw, sigma_hat),

@@ -21,6 +21,8 @@ from qzopt import (
     qgm_plus,
     substream,
 )
+from qzopt import algorithms
+from test_smoothing import _peak_bytes
 
 SPEC = catalog_make("abs-linear", 2, noise_scale=0.1)
 SM = SmoothingParams(0.3)
@@ -253,3 +255,73 @@ def test_trace_charges_sum_to_ledger():
                                 qspec.delta_0, 2)
     res = qgm_plus(qspec, X0, gp, CostModel(), 3, trace=True)
     assert sum(r.grad for r in res.trace) == res.ledger.grad_oracle_queries
+
+
+def test_run_peak_memory():
+    # the recursion workload's qgm cell: T + 1 rows of d doubles hold the trajectory,
+    # where a list of T separate (d,) arrays held about 185 bytes of allocations per step
+    spec = catalog_make("quadratic-smooth", 8, noise_scale=0.1)
+    l, sigma = spec.smooth_params
+    gp = derive_params_qgm_plus(l, sigma, 0.02, spec.delta_0, 8)
+    assert gp.T == 30159
+    x0 = np.full(8, 1.0 / math.sqrt(8))
+    qgm_plus(spec, x0, derive_params_qgm_plus(l, sigma, 0.1, spec.delta_0, 8), CostModel(), 0)
+    peak = _peak_bytes(lambda: qgm_plus(spec, x0, gp, CostModel(), 0))
+    assert peak < 8 * 8 * (gp.T + 1) + 2**20
+
+
+def test_x_out_owns_its_data(monkeypatch):
+    stores, real = [], algorithms._trajectory
+
+    def trajectory(spec, x0, T):
+        stores.append(real(spec, x0, T))
+        return stores[-1]
+
+    monkeypatch.setattr(algorithms, "_trajectory", trajectory)
+    qspec = catalog_make("quadratic-smooth", 2, noise_scale=1.0)
+    gp = derive_params_qgm_plus(qspec.smooth_params[0], 1.0, 0.4, qspec.delta_0, 2)
+    results = [
+        qgfm(SPEC, X0, derive_params_qgfm(2, SPEC.L, 0.3, 0.4, SPEC.delta_0), SM, CostModel(), 0),
+        qgfm_plus(SPEC, X0, derive_params_qgfm_plus(2, SPEC.L, 0.3, 0.4, SPEC.delta_0), SM,
+                  CostModel(), 0),
+        qgm_plus(qspec, X0, gp, CostModel(), 0),
+    ]
+    assert len(stores) == 3
+    for res, store in zip(results, stores):
+        assert res.x_out.flags.owndata
+        assert not np.shares_memory(res.x_out, store)
+        # the pick is one of the stored iterates
+        assert (store[:-1] == res.x_out).all(axis=1).any()
+
+
+def test_store_growth_keeps_every_byte(monkeypatch):
+    # runs whose store starts at three rows and doubles many times, against the
+    # default one-allocation store: same pick, ledger, trace and abort step
+    qp = derive_params_qgfm(2, SPEC.L, 0.3, 0.4, SPEC.delta_0)
+    pp = derive_params_qgfm_plus(2, SPEC.L, 0.3, 0.4, SPEC.delta_0)
+    qspec = catalog_make("quadratic-smooth", 2, noise_scale=1.0)
+    gp = derive_params_qgm_plus(qspec.smooth_params[0], 1.0, 0.4, qspec.delta_0, 2)
+    runs = [
+        lambda: qgfm(SPEC, X0, qp, SM, CostModel(), 1, trace=True, trace_ref_n=20),
+        lambda: qgfm(SPEC, X0, qp, SM, CostModel(), 1, budget=1000),
+        lambda: qgfm_plus(SPEC, X0, pp, SM, CostModel(), 2, trace=True, trace_ref_n=20),
+        lambda: qgfm_plus(SPEC, X0, pp, SM, CostModel(), 2, budget=1000),
+        lambda: qgm_plus(qspec, X0, gp, CostModel(), 3, trace=True),
+    ]
+    want = [run() for run in runs]
+    monkeypatch.setattr(algorithms, "_STORE_ELEMS", 6)
+    for run, a in zip(runs, want):
+        b = run()
+        assert a.x_out.tobytes() == b.x_out.tobytes()
+        assert (a.ledger, a.trace, a.budget_exceeded) == (b.ledger, b.trace, b.budget_exceeded)
+        assert a.residual == b.residual
+
+
+def test_budget_stops_a_run_too_long_to_store():
+    # T + 1 rows of this run would take terabytes; the budget stops it after about
+    # 1000 one-query steps, and only the rows it reached are stored
+    spec = catalog_make("quadratic-smooth", 8)
+    gp = derive_params_qgm_plus(spec.smooth_params[0], 0.0, 1e-6, spec.delta_0, 8)
+    assert (gp.T + 1) * 8 * 8 > 2**40
+    res = qgm_plus(spec, np.full(8, 0.3), gp, CostModel(), 0, budget=1000)
+    assert res.budget_exceeded and res.ledger.grad_oracle_queries == 1001

@@ -256,3 +256,31 @@ def test_explicit_log_policy_scales_charges():
                   CostModel(log_k=1),
                   substream(11, "lg"), logged)
     assert logged.uf_queries == 2 * base.uf_queries  # ceil(log2(4)) = 2
+
+
+@pytest.mark.parametrize("mode", ["quantum", "classical"])
+def test_handed_step_gives_the_same_estimate(mode):
+    # the optimizer loops hand the difference estimators the step they took
+    # (x - y, ||x - y||); the value, the charges and the stream's end must be those
+    # of the call that works them out itself, for every problem and noise kind
+    from test_hotpath_exact import D, DELTA, SPECS, X, Y
+
+    sm, model = SmoothingParams(DELTA), CostModel(mode=mode)
+    v = X - Y
+    step = (v, math.sqrt(v.dot(v)))
+    for i, (problem, scale, kind) in enumerate(SPECS):
+        spec = catalog_make(problem, D, scale, kind)
+        calls = [lambda rng, led, **kw: estimate_grad_diff(spec, X, Y, sm, 0.05, model, rng,
+                                                           led, phase="diff", **kw)]
+        if spec.smooth_params is not None:
+            calls.append(lambda rng, led, **kw: estimate_sgrad_diff(spec, X, Y, 0.05, model,
+                                                                    rng, led, phase="diff",
+                                                                    **kw))
+        for j, call in enumerate(calls):
+            got = []
+            for kw in ({}, {"_step": step}):
+                rng, led = substream(12, "step", i, j), QueryLedger()
+                est = call(rng, led, **kw)
+                got.append((est.value.tobytes(), est.queries_charged, led,
+                            rng.standard_normal()))
+            assert got[0] == got[1], (problem, scale, kind, j)
