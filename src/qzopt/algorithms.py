@@ -22,10 +22,11 @@ residual, and the query ledger):
     oracle (mean-square smoothness l, noise second moment sigma^2);
     residuals are measured on grad f itself.
 
-``qgfm_plus`` and ``qgm_plus`` are thin wrappers that hand one private
-driver, ``_recursion``, their fresh and difference estimators.  ``qgfm``
-keeps its own loop: it has no initialization estimate, so a p = 1 run of
-the driver differs from it in phase tags, trace charges and abort step.
+All three are one-call wrappers around one private driver, ``_optimize``.
+``qgfm`` runs in it as the recursion with every step a full refresh, drawn
+at the top of the step instead of the end of the one before: it has no
+initialization estimate, each trace row carries the charge of the estimate
+its own step used, and a budget stops it one step later.
 
 All randomness is drawn from counter-based substreams of the run seed, so
 runs are reproducible and cost-mode changes cannot perturb trajectories
@@ -78,16 +79,27 @@ _STORE_ELEMS = 1 << 20
 
 @dataclass
 class QgfmParams:
+    """Schedule for the plain method.
+
+    Checked when made, so a hand-built schedule fails before the first
+    draw: T is an integer >= 1, eta and sigma1_sq are positive.
+    """
+
     eta: float
     T: int
     sigma1_sq: float
+
+    def __post_init__(self) -> None:
+        self.eta, self.T = _check_real("eta", self.eta), _check_int("T", self.T, 1)
+        self.sigma1_sq = _check_real("sigma1_sq", self.sigma1_sq)
 
 
 @dataclass
 class QgfmPlusParams:
     """Schedule for the coin-flip recursion (non-smooth and smooth tracks).
 
-    sigma_hat_2 at step t is sqrt(kappa) * ||x_{t+1} - x_t||.
+    sigma_hat_2 at step t is sqrt(kappa) * ||x_{t+1} - x_t||.  Checked
+    like ``QgfmParams``, and also 0 < p <= 1 and kappa >= 0.
     """
 
     eta: float
@@ -95,6 +107,14 @@ class QgfmPlusParams:
     p: float
     sigma1_sq: float
     kappa: float
+
+    def __post_init__(self) -> None:
+        self.eta, self.T = _check_real("eta", self.eta), _check_int("T", self.T, 1)
+        self.sigma1_sq = _check_real("sigma1_sq", self.sigma1_sq)
+        self.p = _check_real("p", self.p)
+        if self.p > 1.0:
+            raise ValueError("p must lie in (0, 1]")
+        self.kappa = _check_real("kappa", self.kappa, lo_open=False)
 
 
 @dataclass
@@ -243,22 +263,6 @@ def _phi_diagnostic(
     return phi, float(np.linalg.norm(ref))
 
 
-def _trace_row(
-    records: list[TraceRecord], ledger: QueryLedger, prev: tuple[int, int, int], t: int,
-    g: np.ndarray, step_norm: float, theta: int, diagnostic: tuple[float, float],
-) -> tuple[int, int, int]:
-    """Append step t's TraceRecord and return the ledger counts it ends at.
-
-    The row's charges are the ledger's growth since prev, the counts at
-    the end of the previous row ((0, 0, 0) for the first).
-    """
-    cur = (ledger.uf_queries, ledger.classical_queries, ledger.grad_oracle_queries)
-    phi, ref_norm = diagnostic
-    records.append(TraceRecord(t, float(np.linalg.norm(g)), step_norm, theta, phi, ref_norm,
-                               cur[0] - prev[0], cur[1] - prev[1], cur[2] - prev[2]))
-    return cur
-
-
 def _trajectory(spec: ObjectiveSpec, x0: np.ndarray, T: int) -> np.ndarray:
     """The iterate store of a T-step run, row 0 holding the checked x0.
 
@@ -281,43 +285,6 @@ def _grown(store: np.ndarray, T: int) -> np.ndarray:
     return grown
 
 
-def _finish(
-    algorithm: str,
-    spec: ObjectiveSpec,
-    candidates: np.ndarray,
-    smoothing: SmoothingParams | None,
-    seed: int,
-    ledger: QueryLedger,
-    T: int,
-    p: float | None,
-    exceeded: bool,
-    trace: list[TraceRecord],
-    residual_n: int,
-    residual_confidence: float,
-) -> RunResult:
-    pick = substream(seed, "out")
-    # a copy, so the result does not keep the whole trajectory alive
-    x_out = candidates[int(pick.integers(len(candidates)))].copy()
-    if smoothing is not None:
-        residual = goldstein_residual(
-            spec, x_out, smoothing, residual_n, residual_confidence, substream(seed, "residual")
-        )
-    else:
-        # Smooth track: the gradient is available exactly, no sampling error.
-        residual = ResidualReport(float(np.linalg.norm(spec.lambdas * x_out)), 0.0, 0, 1.0)
-    return RunResult(
-        algorithm=algorithm,
-        seed=seed,
-        x_out=x_out,
-        residual=residual,
-        ledger=ledger,
-        T=T,
-        p=p,
-        budget_exceeded=exceeded,
-        trace=trace,
-    )
-
-
 def _coins(rng: np.random.Generator):
     """The uniforms of a coin stream, one per next(), drawn in blocks."""
     while True:
@@ -331,20 +298,25 @@ def _step(x_next: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, float]:
     return v, math.sqrt(v.dot(v))
 
 
-def _recursion(
-    algorithm: str, spec: ObjectiveSpec, x0: np.ndarray, params: QgfmPlusParams,
-    smoothing: SmoothingParams | None, model: CostModel, seed: int, fresh, diff,
-    trace: bool, budget: int, residual_n: int, residual_confidence: float, trace_ref_n: int,
+def _optimize(
+    algorithm: str, spec: ObjectiveSpec, x0: np.ndarray, params: QgfmParams | QgfmPlusParams,
+    smoothing: SmoothingParams | None, model: CostModel, seed: int, trace: bool, budget: int,
+    residual_n: int, residual_confidence: float, trace_ref_n: int,
 ) -> RunResult:
-    """The biased-coin recursion behind ``qgfm_plus`` and ``qgm_plus``.
+    """The one loop behind all three optimizers.
 
-    fresh and diff are called like ``estimate_sgrad`` and
-    ``estimate_sgrad_diff``; diff also gets the step it estimates across
-    as ``_step``.  smoothing is None on the smooth track, which selects
-    the gradient-oracle budget counter and the exact residual and phi,
-    leaving residual_n, residual_confidence and trace_ref_n unused.
+    ``qgfm`` draws every g_t as a fresh ``refresh`` estimate at x_t, at
+    the top of step t.  The recursion draws g_0 as an ``init`` estimate,
+    and step t builds g_{t+1} with a biased coin, so its trace rows and
+    budget test see each estimate one step earlier.  smoothing is None on
+    the smooth track, which selects the gradient-oracle estimators, budget
+    counter, exact residual and phi, leaving residual_n,
+    residual_confidence and trace_ref_n unused.
     """
-    eta, T, p, sqrt_kappa = params.eta, params.T, params.p, math.sqrt(params.kappa)
+    plain = algorithm == "qgfm"
+    eta, T = params.eta, params.T
+    p, sqrt_kappa = (1.0, 0.0) if plain else (params.p, math.sqrt(params.kappa))
+    smooth = smoothing is None
     store = _trajectory(spec, x0, T)
     sigma1 = math.sqrt(params.sigma1_sq)
     est_rng = substream(seed, "est")
@@ -352,36 +324,68 @@ def _recursion(
     records: list[TraceRecord] = []
     steps, exceeded = T, False
     prev = (0, 0, 0)
-    smooth = smoothing is None
-    coins = _coins(substream(seed, "coin"))
-    g = fresh(spec, store[0], sigma1, model, est_rng, ledger, phase="init").value
+    coins = None if plain else _coins(substream(seed, "coin"))
     for t in range(T):
         if t + 1 == len(store):
             store = _grown(store, T)
         x, x_next = store[t], store[t + 1]
+        # estimators are named at each call: a pair picked once and called
+        # with *args costs 0.3 us a call.  qgfm draws every g_t fresh at x_t,
+        # the recursion only g_0
+        if plain or t == 0:
+            phase = "refresh" if plain else "init"
+            if smooth:
+                g = estimate_sgrad(spec, x, sigma1, model, est_rng, ledger, phase=phase).value
+            else:
+                g = estimate_grad(spec, x, smoothing, sigma1, model, est_rng, ledger,
+                                  phase=phase).value
         g_step = g
-        np.subtract(x, eta * g_step, out=x_next)
+        s = eta * g_step
+        np.subtract(x, s, out=x_next)
         theta = 1
         step = None
-        if t + 1 < T:
+        if not plain and t + 1 < T:
             theta = 1 if next(coins) < p else 0
-            if theta:
-                g = fresh(spec, x_next, sigma1, model, est_rng, ledger, phase="refresh").value
+            if theta and smooth:
+                g = estimate_sgrad(spec, x_next, sigma1, model, est_rng, ledger,
+                                   phase="refresh").value
+            elif theta:
+                g = estimate_grad(spec, x_next, smoothing, sigma1, model, est_rng, ledger,
+                                  phase="refresh").value
             else:
                 step = _step(x_next, x)
-                if step[1] > 0.0:
-                    g = g + diff(spec, x_next, x, sqrt_kappa * step[1], model, est_rng, ledger,
-                                 phase="diff", _step=step).value
+                sigma2 = sqrt_kappa * step[1]
+                if step[1] > 0.0 and smooth:
+                    g = g + estimate_sgrad_diff(spec, x_next, x, sigma2, model, est_rng, ledger,
+                                                phase="diff", _step=step).value
+                elif step[1] > 0.0:
+                    g = g + estimate_grad_diff(spec, x_next, x, smoothing, sigma2, model, est_rng,
+                                               ledger, phase="diff", _step=step).value
         if trace:
             if step is None:
-                step = _step(x_next, x)
-            diagnostic = _phi_diagnostic(spec, x, g_step, eta, p, smoothing, seed, t, trace_ref_n)
-            prev = _trace_row(records, ledger, prev, t, g_step, step[1], theta, diagnostic)
+                # qgfm traces ||eta g_t||, the recursion ||x_{t+1} - x_t||
+                step = (s, math.sqrt(s.dot(s))) if plain else _step(x_next, x)
+            phi, ref_norm = _phi_diagnostic(spec, x, g_step, eta, p, smoothing, seed, t,
+                                            trace_ref_n)
+            # the row's charges are the ledger's growth since the previous row
+            cur = (ledger.uf_queries, ledger.classical_queries, ledger.grad_oracle_queries)
+            records.append(TraceRecord(t, float(np.linalg.norm(g_step)), step[1], theta, phi,
+                                       ref_norm, cur[0] - prev[0], cur[1] - prev[1],
+                                       cur[2] - prev[2]))
+            prev = cur
         if _primary_count(ledger, model, smooth) > budget:
             steps, exceeded = t + 1, True
             break
-    return _finish(algorithm, spec, store[:steps], smoothing, seed, ledger, T, p,
-                   exceeded, records, residual_n, residual_confidence)
+    # a copy, so the result does not keep the whole trajectory alive
+    x_out = store[int(substream(seed, "out").integers(steps))].copy()
+    if smooth:
+        # Smooth track: the gradient is available exactly, no sampling error.
+        residual = ResidualReport(float(np.linalg.norm(spec.lambdas * x_out)), 0.0, 0, 1.0)
+    else:
+        residual = goldstein_residual(spec, x_out, smoothing, residual_n, residual_confidence,
+                                      substream(seed, "residual"))
+    return RunResult(algorithm, seed, x_out, residual, ledger, T, None if plain else p, exceeded,
+                     records)
 
 
 # ---------------------------------------------------------------------------
@@ -403,34 +407,8 @@ def qgfm(
     trace_ref_n: int = 2000,
 ) -> RunResult:
     """Plain smoothed-surrogate descent; returns a uniform iterate."""
-    budget, residual_n, residual_confidence, trace_ref_n = _run_args(
-        budget, residual_n, residual_confidence, trace_ref_n)
-    T = params.T
-    store = _trajectory(spec, x0, T)
-    sigma1 = math.sqrt(params.sigma1_sq)
-    est_rng = substream(seed, "est")
-    ledger = QueryLedger()
-    records: list[TraceRecord] = []
-    steps, exceeded = T, False
-    prev = (0, 0, 0)
-    for t in range(T):
-        if t + 1 == len(store):
-            store = _grown(store, T)
-        x = store[t]
-        est = estimate_grad(spec, x, smoothing, sigma1, model, est_rng, ledger, phase="refresh")
-        g = est.value
-        step = params.eta * g
-        if trace:
-            diagnostic = _phi_diagnostic(spec, x, g, params.eta, 1.0, smoothing, seed, t,
-                                         trace_ref_n)
-            prev = _trace_row(records, ledger, prev, t, g, float(np.linalg.norm(step)), 1,
-                              diagnostic)
-        np.subtract(x, step, out=store[t + 1])
-        if _primary_count(ledger, model, smooth=False) > budget:
-            steps, exceeded = t + 1, True
-            break
-    return _finish("qgfm", spec, store[:steps], smoothing, seed, ledger, T, None,
-                   exceeded, records, residual_n, residual_confidence)
+    return _optimize("qgfm", spec, x0, params, smoothing, model, seed, trace,
+                     *_run_args(budget, residual_n, residual_confidence, trace_ref_n))
 
 
 def qgfm_plus(
@@ -449,24 +427,16 @@ def qgfm_plus(
 ) -> RunResult:
     """Variance-reduced smoothed-surrogate descent.
 
-    With p = 1 the coin always lands heads and the run is draw-for-draw
-    identical to ``qgfm`` under the same seed (the coin stream is
-    separate from the estimate stream).  The refresh that would only
-    feed an unused g_T is skipped, keeping the p = 1 ledger equal to
-    the plain method's.
+    With p = 1 the coin always lands heads and every g_{t+1} is a fresh
+    estimate, so the run is draw-for-draw identical to ``qgfm`` under the
+    same seed (the coin stream is separate from the estimate stream).  The
+    refresh that would only feed an unused g_T is skipped, keeping the
+    p = 1 ledger equal to the plain method's; only the first estimate's
+    phase tag, the trace row that carries each charge and the step at
+    which a budget stops the run differ.
     """
-    budget, residual_n, residual_confidence, trace_ref_n = _run_args(
-        budget, residual_n, residual_confidence, trace_ref_n)
-
-    def fresh(spec, x, sigma_hat, model, rng, ledger, phase):
-        return estimate_grad(spec, x, smoothing, sigma_hat, model, rng, ledger, phase=phase)
-
-    def diff(spec, x, y, sigma_hat, model, rng, ledger, phase, _step):
-        return estimate_grad_diff(spec, x, y, smoothing, sigma_hat, model, rng, ledger,
-                                  phase=phase, _step=_step)
-
-    return _recursion("qgfm_plus", spec, x0, params, smoothing, model, seed, fresh, diff,
-                      trace, budget, residual_n, residual_confidence, trace_ref_n)
+    return _optimize("qgfm_plus", spec, x0, params, smoothing, model, seed, trace,
+                     *_run_args(budget, residual_n, residual_confidence, trace_ref_n))
 
 
 def qgm_plus(
@@ -482,5 +452,5 @@ def qgm_plus(
     """Variance-reduced descent on a smooth objective with gradient oracle."""
     if spec.smooth_params is None:
         raise ValueError(f"{spec.name!r} exposes no smooth gradient oracle")
-    return _recursion("qgm_plus", spec, x0, params, None, model, seed, estimate_sgrad,
-                      estimate_sgrad_diff, trace, _check_int("budget", budget, 1), 0, 1.0, 0)
+    return _optimize("qgm_plus", spec, x0, params, None, model, seed, trace,
+                     _check_int("budget", budget, 1), 0, 1.0, 0)

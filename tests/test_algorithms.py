@@ -6,6 +6,8 @@ from numpy.testing import assert_allclose
 
 from qzopt import (
     CostModel,
+    GradEstimate,
+    QgfmParams,
     QgfmPlusParams,
     QueryLedger,
     SmoothingParams,
@@ -242,19 +244,100 @@ def test_non_finite_x0_raises(bad):
 
 
 def test_trace_charges_sum_to_ledger():
-    # per-iteration deltas in the trace (init absorbed into t=0) must
+    # one row per step, whose per-iteration deltas (init absorbed into t=0)
     # reconstruct the ledger totals exactly
+    qp = derive_params_qgfm(2, SPEC.L, 0.3, 0.4, SPEC.delta_0)
     pp = derive_params_qgfm_plus(2, SPEC.L, 0.3, 0.4, SPEC.delta_0)
-    for seed in (0, 4):
-        res = qgfm_plus(SPEC, X0, pp, SM, CostModel(), seed, trace=True)
-        assert sum(r.uf for r in res.trace) == res.ledger.uf_queries
-        assert sum(r.classical for r in res.trace) == res.ledger.classical_queries
-        assert sum(r.grad for r in res.trace) == res.ledger.grad_oracle_queries
     qspec = catalog_make("quadratic-smooth", 2, noise_scale=1.0)
     gp = derive_params_qgm_plus(qspec.smooth_params[0], qspec.smooth_params[1], 0.4,
                                 qspec.delta_0, 2)
-    res = qgm_plus(qspec, X0, gp, CostModel(), 3, trace=True)
-    assert sum(r.grad for r in res.trace) == res.ledger.grad_oracle_queries
+    runs = [qgfm(SPEC, X0, qp, SM, CostModel(), 0, trace=True)]
+    runs += [qgfm_plus(SPEC, X0, pp, SM, CostModel(), seed, trace=True) for seed in (0, 4)]
+    runs += [qgm_plus(qspec, X0, gp, CostModel(), 3, trace=True)]
+    for res in runs:
+        assert [r.t for r in res.trace] == list(range(res.T))
+        assert sum(r.uf for r in res.trace) == res.ledger.uf_queries
+        assert sum(r.classical for r in res.trace) == res.ledger.classical_queries
+        assert sum(r.grad for r in res.trace) == res.ledger.grad_oracle_queries
+
+
+STUB_CHARGE = 10
+
+
+def _stub_run(monkeypatch, optimizer, T, budget):
+    """A traced run of optimizer with the four estimators stubbed out.
+
+    Each stub records (phase, x) and charges STUB_CHARGE to every counter;
+    a fresh stub returns x and a difference stub x - y.  Returns the run,
+    the recorded calls, the iterate store and the bound of the uniform pick.
+    """
+    calls, stores, picks = [], [], []
+    trajectory, substream_ = algorithms._trajectory, algorithms.substream
+
+    def charged(x, value, ledger, phase):
+        calls.append((phase, x.copy()))
+        ledger.charge(uf=STUB_CHARGE, classical=STUB_CHARGE, grad=STUB_CHARGE, phase=phase)
+        return GradEstimate(value, STUB_CHARGE)
+
+    def fresh(spec, x, *args, phase):
+        return charged(x, x.copy(), args[-1], phase)
+
+    def diff(spec, x, y, *args, phase, _step):
+        return charged(x, x - y, args[-1], phase)
+
+    class Pick:
+        def integers(self, n):
+            picks.append(n)
+            return n - 1
+
+    for name, stub in (("estimate_grad", fresh), ("estimate_sgrad", fresh),
+                       ("estimate_grad_diff", diff), ("estimate_sgrad_diff", diff)):
+        monkeypatch.setattr(algorithms, name, stub)
+    monkeypatch.setattr(algorithms, "_trajectory",
+                        lambda *a: stores.append(trajectory(*a)) or stores[-1])
+    monkeypatch.setattr(algorithms, "substream",
+                        lambda seed, name, *i: Pick() if name == "out" else substream_(seed, name, *i))
+    plus = QgfmPlusParams(eta=0.25, T=T, p=0.5, sigma1_sq=0.08, kappa=4.0)
+    if optimizer is qgm_plus:
+        qspec = catalog_make("quadratic-smooth", 2, noise_scale=1.0)
+        res = qgm_plus(qspec, X0, plus, CostModel(), 1, trace=True, budget=budget)
+    else:
+        params = QgfmParams(eta=0.25, T=T, sigma1_sq=0.08) if optimizer is qgfm else plus
+        res = optimizer(SPEC, X0, params, SM, CostModel(), 1, trace=True, budget=budget,
+                        residual_n=50, trace_ref_n=20)
+    return res, calls, stores[0], picks[0]
+
+
+@pytest.mark.parametrize("optimizer", [qgfm, qgfm_plus, qgm_plus], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("budget", [10**6, 25])
+def test_loop_order_with_stub_estimators(monkeypatch, optimizer, budget):
+    # qgfm draws g_t fresh at x_t at the top of step t, so row t carries its charge
+    # and a budget crossed in step t keeps t + 1 candidates; the recursion draws
+    # g_0 as init and g_{t+1} in step t, so the same budget stops it a step earlier
+    T, C = 6, STUB_CHARGE
+    res, calls, store, pick = _stub_run(monkeypatch, optimizer, T, budget)
+    steps = len(res.trace)
+    assert pick == steps and res.budget_exceeded == (budget < 10**6)
+    assert np.array_equal(res.x_out, store[steps - 1])
+    charges = [r.uf for r in res.trace]
+    assert [r.grad for r in res.trace] == charges == [r.classical for r in res.trace]
+    if optimizer is qgfm:
+        assert steps == (T if budget > T * C else budget // C + 1)
+        assert [phase for phase, _ in calls] == ["refresh"] * steps
+        for t, (_, x) in enumerate(calls):
+            assert np.array_equal(x, store[t])
+        assert charges == [C] * steps
+        assert res.p is None
+        return
+    assert steps == (T if budget > T * C else budget // C)
+    assert calls[0][0] == "init" and np.array_equal(calls[0][1], store[0])
+    # seed 1's coins build both kinds of g_{t+1} before either budget stops the run
+    assert {phase for phase, _ in calls[1:]} == {"refresh", "diff"}
+    for t, (_, x) in enumerate(calls[1:]):
+        assert np.array_equal(x, store[t + 1])
+    assert len(calls) == min(steps + 1, T)
+    assert charges == ([2 * C] + [C] * (T - 2) + [0] if steps == T else [2 * C] + [C] * (steps - 1))
+    assert res.p == 0.5
 
 
 def test_run_peak_memory():

@@ -78,8 +78,8 @@ def _rng():
 
 
 # (id, kind, call with the argument, a valid value); kind is "int<lo>" for an
-# integer >= lo, "pos" for a real > 0, "nonneg" for a real >= 0 and "unit" for
-# a real in (0, 1)
+# integer >= lo, "pos" for a real > 0, "nonneg" for a real >= 0, "unit" for a
+# real in (0, 1) and "prob" for a real in (0, 1]
 CASES = [
     ("catalog_make.d", "int1", lambda v: catalog_make("sawtooth", v), 3),
     ("catalog_make.noise_scale", "nonneg",
@@ -127,23 +127,29 @@ CASES = [
 QGFM_ARGS = dict(d=4, L=1.0, delta=0.3, eps=0.5, Delta=0.7)
 QGM_ARGS = dict(l=2.0, sigma=1.0, eps=0.5, Delta=0.7, d=4)
 KINDS = {"d": "int1", "L": "pos", "l": "pos", "delta": "pos", "eps": "pos", "Delta": "nonneg",
-         "sigma": "nonneg"}
+         "sigma": "nonneg", "eta": "pos", "T": "int1", "p": "prob", "sigma1_sq": "pos",
+         "kappa": "nonneg"}
 
 
-def _derive_case(derive, args, name):
-    return (f"{derive.__name__}.{name}", KINDS[name], lambda v: derive(**{**args, name: v}),
+def _keyword_case(make, args, name):
+    return (f"{make.__name__}.{name}", KINDS[name], lambda v: make(**{**args, name: v}),
             args[name])
 
 
-CASES += [_derive_case(derive, QGFM_ARGS, name)
+CASES += [_keyword_case(derive, QGFM_ARGS, name)
           for derive in (derive_params_qgfm, derive_params_qgfm_plus) for name in QGFM_ARGS]
-CASES += [_derive_case(derive_params_qgm_plus, QGM_ARGS, name) for name in QGM_ARGS]
+CASES += [_keyword_case(derive_params_qgm_plus, QGM_ARGS, name) for name in QGM_ARGS]
+# hand-built schedules, one case per field
+QGFM_SCHEDULE = dict(eta=0.1, T=3, sigma1_sq=0.08)
+PLUS_SCHEDULE = dict(eta=0.1, T=3, p=0.5, sigma1_sq=0.08, kappa=12.0)
+CASES += [_keyword_case(QgfmParams, QGFM_SCHEDULE, name) for name in QGFM_SCHEDULE]
+CASES += [_keyword_case(QgfmPlusParams, PLUS_SCHEDULE, name) for name in PLUS_SCHEDULE]
 # the optimizers' run arguments, on three-step schedules
 RUN_ARGS = dict(budget=10**6, residual_n=50, residual_confidence=0.9, trace_ref_n=20)
 RUN_KINDS = {"budget": "int1", "residual_n": "int2", "residual_confidence": "unit",
              "trace_ref_n": "int1"}
-QGFM_PARAMS = QgfmParams(eta=0.1, T=3, sigma1_sq=0.08)
-PLUS_PARAMS = QgfmPlusParams(eta=0.1, T=3, p=0.5, sigma1_sq=0.08, kappa=12.0)
+QGFM_PARAMS = QgfmParams(**QGFM_SCHEDULE)
+PLUS_PARAMS = QgfmPlusParams(**PLUS_SCHEDULE)
 
 
 def _run(optimizer, **kw):
@@ -181,7 +187,8 @@ NON_FINITE = [math.nan, math.inf, -math.inf, True]
 def _bad_values(kind):
     if kind.startswith("int"):
         return NON_FINITE + [2.5, int(kind[3:]) - 1]
-    return NON_FINITE + {"pos": [0.0, -1.0], "nonneg": [-1.0], "unit": [0.0, 1.0]}[kind]
+    return NON_FINITE + {"pos": [0.0, -1.0], "nonneg": [-1.0], "unit": [0.0, 1.0],
+                         "prob": [0.0, 1.5]}[kind]
 
 
 @pytest.mark.parametrize("case", ALL_CASES, ids=IDS)
