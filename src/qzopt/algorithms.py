@@ -164,13 +164,23 @@ def _nonsmooth_args(d, L, delta, eps, Delta) -> tuple[int, float, float, float, 
             _check_real("eps", eps), _check_real("Delta", Delta, lo_open=False))
 
 
+def _square(name: str, v: float) -> float:
+    """v * v for a checked v > 0; a square that underflows to 0 raises
+    ValueError, as the schedules divide by it."""
+    sq = v * v
+    if sq == 0.0:
+        raise ValueError(f"{name} is too small: its square underflows to 0")
+    return sq
+
+
 def derive_params_qgfm(d: int, L: float, delta: float, eps: float, Delta: float) -> QgfmParams:
     """Step size, accuracy target and step count for the plain method."""
     d, L, delta, eps, Delta = _nonsmooth_args(d, L, delta, eps, Delta)
+    eps_sq = _square("eps", eps)
     rd = math.sqrt(d)
     eta = delta / (2.0 * rd * L)
-    T = math.ceil(2.0 / (eps * eps) * (4.0 * rd * L * L + 2.0 * rd * L * Delta / delta))
-    return QgfmParams(eta=eta, T=max(1, T), sigma1_sq=eps * eps / 2.0)
+    T = math.ceil(2.0 / eps_sq * (4.0 * rd * L * L + 2.0 * rd * L * Delta / delta))
+    return QgfmParams(eta=eta, T=max(1, T), sigma1_sq=eps_sq / 2.0)
 
 
 def derive_params_qgfm_plus(d: int, L: float, delta: float, eps: float, Delta: float) -> QgfmPlusParams:
@@ -178,13 +188,14 @@ def derive_params_qgfm_plus(d: int, L: float, delta: float, eps: float, Delta: f
     d, L, delta, eps, Delta = _nonsmooth_args(d, L, delta, eps, Delta)
     if eps > L:
         raise ValueError("eps must not exceed L (refresh probability would exceed 1)")
+    eps_sq, delta_sq = _square("eps", eps), _square("delta", delta)
     rd = math.sqrt(d)
     eta = delta / (2.0 * rd * L)
     p = (eps / L) ** (2.0 / 3.0)
-    kappa = eps ** (2.0 / 3.0) * L ** (4.0 / 3.0) * d / (delta * delta)
+    kappa = eps ** (2.0 / 3.0) * L ** (4.0 / 3.0) * d / delta_sq
     L_delta = rd * L / delta
-    T = math.ceil(8.0 * L_delta * (Delta + 2.0 * delta * L) / (eps * eps) + 4.0 / p)
-    return QgfmPlusParams(eta=eta, T=max(1, T), p=p, sigma1_sq=eps * eps / 2.0, kappa=kappa)
+    T = math.ceil(8.0 * L_delta * (Delta + 2.0 * delta * L) / eps_sq + 4.0 / p)
+    return QgfmPlusParams(eta=eta, T=max(1, T), p=p, sigma1_sq=eps_sq / 2.0, kappa=kappa)
 
 
 def derive_params_qgm_plus(l: float, sigma: float, eps: float, Delta: float, d: int) -> QgfmPlusParams:
@@ -199,6 +210,7 @@ def derive_params_qgm_plus(l: float, sigma: float, eps: float, Delta: float, d: 
     _check_int("d", d, 1)
     Delta = _check_real("Delta", Delta, lo_open=False)
     sigma = _check_real("sigma", sigma, lo_open=False)
+    eps_sq = _square("eps", eps)
     if sigma == 0.0:
         p = 1.0
         kappa = 0.0
@@ -208,8 +220,8 @@ def derive_params_qgm_plus(l: float, sigma: float, eps: float, Delta: float, d: 
         p = (eps / sigma) ** (2.0 / 3.0)
         kappa = l * l * eps ** (2.0 / 3.0) / sigma ** (2.0 / 3.0)
     eta = 1.0 / (2.0 * l)
-    T = math.ceil(8.0 * l * Delta / (eps * eps) + 4.0 * sigma ** (2.0 / 3.0) / eps ** (4.0 / 3.0))
-    return QgfmPlusParams(eta=eta, T=max(1, T), p=p, sigma1_sq=eps * eps / 2.0, kappa=kappa)
+    T = math.ceil(8.0 * l * Delta / eps_sq + 4.0 * sigma ** (2.0 / 3.0) / eps ** (4.0 / 3.0))
+    return QgfmPlusParams(eta=eta, T=max(1, T), p=p, sigma1_sq=eps_sq / 2.0, kappa=kappa)
 
 
 # ---------------------------------------------------------------------------

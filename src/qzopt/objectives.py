@@ -271,20 +271,58 @@ def _block_rows(d: int) -> int:
 def _row_sums(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """np.add.reduce(v, axis=-1) to the bit, for a C-ordered v.
 
-    For 2 <= d < 8 numpy adds a row's d elements one after another onto
-    +0.0, so adding whole columns left to right from +0.0 gives the same
-    bytes (signed zeros, subnormals and overflow included) in d ufunc calls
-    instead of one call that pays about 20 ns per row.  The column adds win
-    from about 32 d rows on; smaller batches, and d >= 8, where numpy keeps
-    eight interleaved partial sums, take reduce.
+    numpy (>= 2.0) sums each row onto +0.0: for 2 <= d < 8 it adds the d
+    elements one after another, and for 8 <= d < 16 it adds them pairwise,
+    ((a0+a1)+(a2+a3))+((a4+a5)+(a6+a7)), then the rest one after another.
+    Whole-column adds in the same order give the same bytes (signed zeros,
+    subnormals and overflow included) in about d ufunc calls instead of one
+    call that pays about 20 ns per row.  They win from about 32 d rows on;
+    smaller batches, d = 1 and d >= 16 take reduce.  The tests pin these
+    bytes against reduce on both sides of the switch.
     """
     d = v.shape[-1]
-    if not 2 <= d < 8 or v.size < 32 * d * d:
+    if not 2 <= d < 16 or v.size < 32 * d * d:
         return np.add.reduce(v, axis=-1, out=out)
-    s = np.add(v[..., 0], 0.0, out=out)
-    for j in range(1, d):
+    if d < 8:
+        s = np.add(v[..., 0], 0.0, out=out)
+        for j in range(1, d):
+            s += v[..., j]
+        return s
+    s = np.add(v[..., 0], v[..., 1], out=out)
+    s += v[..., 2] + v[..., 3]
+    t = v[..., 4] + v[..., 5]
+    t += v[..., 6] + v[..., 7]
+    s += t
+    for j in range(8, d):
         s += v[..., j]
+    s += 0.0
     return s
+
+
+def _col_sums(v: np.ndarray, coef: np.ndarray | None = None,
+              carry: np.ndarray | None = None) -> np.ndarray:
+    """np.add.reduce(G, axis=0) + 0.0 to the bit, for the C-ordered (m, d)
+    G = v, or G = coef[:, None] * v with coef; with carry, of G with carry
+    added into its first row (in place in v, when v is G).
+
+    For d > 1 numpy (>= 2.0) reduces axis 0 by adding the rows one after
+    another, and np.einsum adds them in the same order in one pass, onto
+    +0.0 where reduce starts from the first row: so the two differ only in
+    the sign of an all-zero column, which the + 0.0 settles.  With coef and
+    no carry, einsum forms each product as it adds it and G is never built.
+    At d = 1 reduce adds pairwise, so d = 1 takes reduce.  The tests pin
+    these bytes against reduce.
+    """
+    if coef is not None and (carry is not None or v.shape[1] == 1):
+        v = coef[:, None] * v
+        coef = None
+    if carry is not None:
+        v[0] += carry
+    if v.shape[1] == 1:
+        s = np.add.reduce(v, axis=0)
+        s += 0.0
+        return s
+    return np.einsum("ij->j", v) if coef is None else np.einsum("i,ij->j", coef, v)
 
 
 def _row_norms(v: np.ndarray) -> np.ndarray:

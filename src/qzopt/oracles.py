@@ -26,7 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .objectives import ObjectiveSpec, _check_int, _check_point, _check_real, _sample_xi_batch
+from .objectives import (ObjectiveSpec, _check_int, _check_point, _check_real, _col_sums,
+                         _sample_xi_batch)
 from .smoothing import SmoothingParams, _g_delta_mean
 
 __all__ = [
@@ -263,7 +264,7 @@ def estimate_sgrad(
     value = spec.lambdas * x
     if sigma > 0:
         payload = _sample_xi_batch(spec, n, rng)
-        value = value + np.add.reduce(payload, axis=0) / n
+        value = value + _col_sums(payload) / n
     raw = model.c_q * math.sqrt(spec.d) * sigma / sigma_hat
     charged = _charge(ledger, model, phase, _quantum_count(model, raw, sigma_hat), n, grad=True)
     return GradEstimate(value, charged)

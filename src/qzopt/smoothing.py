@@ -35,6 +35,7 @@ from .objectives import (
     _block_rows,
     _check_int,
     _check_real,
+    _col_sums,
     _f_rows,
     _F_rows,
     _finite_point,
@@ -98,8 +99,8 @@ def g_delta(
     w = np.asarray(w, dtype=float)
     if x.shape != (spec.d,) or w.shape != (spec.d,):
         raise ValueError("x and w must have shape (d,)")
-    payload = _payload_rows(spec, xi)
-    return _g_delta_rows(spec, x, params.delta, w[None, :], payload)[0]
+    W = w[None, :]
+    return _g_rows(W, _g_delta_rows(spec, x, params.delta, W, _payload_rows(spec, xi)))[0]
 
 
 def _g_delta_rows(
@@ -109,9 +110,14 @@ def _g_delta_rows(
     W: np.ndarray,
     payload,
     y: np.ndarray | None = None,
-) -> np.ndarray:
-    """Two-point estimates for each direction row in W (n, d) -> (n, d); with
-    y, the shared-draw differences g_delta(x; w, xi) - g_delta(y; w, xi).
+) -> tuple[np.ndarray] | tuple[np.ndarray, np.ndarray]:
+    """The scaled F differences of the two-point estimates along the
+    direction rows of W (n, d): a tuple of c * (F(x + dW) - F(x - dW)),
+    c = d / (2 delta), shape (n,), and with y, of the same at y.  The
+    estimates are the first times W's rows, and with y the shared-draw
+    differences g_delta(x; w, xi) - g_delta(y; w, xi) are those minus the
+    second times W's rows (_g_rows); a mean of fresh estimates sums the
+    products without forming them (objectives._col_sums).
 
     The point sets x + dW, x - dW (and y + dW, y - dW), dW = delta * W, go to
     _F_rows as one stacked batch while it holds at most _STACK elements, and
@@ -140,10 +146,17 @@ def _g_delta_rows(
             diff_y -= _F_rows(spec, y - dW, payload)
     c = spec.d / (2.0 * delta)
     diff *= c
-    G = diff[:, None] * W
-    if y is not None:
-        diff_y *= c
-        G -= diff_y[:, None] * W
+    if y is None:
+        return (diff,)
+    diff_y *= c
+    return diff, diff_y
+
+
+def _g_rows(W: np.ndarray, diffs: tuple[np.ndarray, ...]) -> np.ndarray:
+    """The estimate rows (n, d) of _g_delta_rows's differences over W."""
+    G = diffs[0][:, None] * W
+    if len(diffs) == 2:
+        G -= diffs[1][:, None] * W
     return G
 
 
@@ -169,22 +182,23 @@ def _g_delta_mean(
     64, so that each block's point sets split into the same 4-row groups of
     the BLAS matvecs in _F_rows as the whole chunk's and every row has the
     bytes the whole-chunk call gives it; a one-row tail joins the block
-    before it, since a one-row matvec takes another kernel.  Carry:
-    np.add.reduce over axis 0 of a C-ordered (rows, d) array with d > 1 adds
-    the rows one after another, so adding the sum of the earlier blocks into
-    a block's first row before reducing it gives the whole-chunk sum to the
-    bit (squares are taken before their carry goes in).  At d = 1 the
-    reduction is pairwise, so the chunk is one block.  The carry restarts
+    before it, since a one-row matvec takes another kernel.  Carry: the
+    column sums (objectives._col_sums) add a block's rows one after another,
+    the order of np.add.reduce over axis 0 for d > 1 (numpy >= 2.0's einsum
+    and reduce loop orders, which the tests pin), so adding the sum of the
+    earlier blocks into a block's first row before summing it gives the
+    whole-chunk sum to the bit (squares are taken before their carry goes
+    in).  At d = 1 the reduction is pairwise, so the chunk is one block.  A
+    fresh estimate's block without carry or SE sums its products with W's
+    rows in one pass and never builds its estimate rows.  The carry restarts
     with each chunk and the chunk sums add up in chunk order, so the result
     does not depend on the block size.
     """
     if not want_se and n <= _CHUNK and len(_block_bounds(n, spec.d)) == 1:
-        # one chunk of one block: the loop's bytes without the loop, which
-        # adds the sum into zeros (a -0.0 column sum would become +0.0)
+        # one chunk of one block: the loop's bytes without the loop
         W = _sphere_batch(spec.d, n, rng)
-        G = _g_delta_rows(spec, x, delta, W, _sample_xi_batch(spec, n, rng), y)
-        mean = np.add.reduce(G, axis=0)
-        mean += 0.0
+        diffs = _g_delta_rows(spec, x, delta, W, _sample_xi_batch(spec, n, rng), y)
+        mean = _col_sums(W, diffs[0]) if y is None else _col_sums(_g_rows(W, diffs))
         mean /= n
         return mean
     total = np.zeros(spec.d)
@@ -201,15 +215,14 @@ def _g_delta_mean(
             blocks = ((W[a:b], payload[a:b]) for a, b in bounds)
         acc = acc_sq = None
         for Wb, pb in blocks:
-            G = _g_delta_rows(spec, x, delta, Wb, pb, y)
-            if want_se:
-                sq = G * G
-                if acc_sq is not None:
-                    sq[0] += acc_sq
-                acc_sq = np.add.reduce(sq, axis=0)
-            if acc is not None:
-                G[0] += acc
-            acc = np.add.reduce(G, axis=0)
+            diffs = _g_delta_rows(spec, x, delta, Wb, pb, y)
+            if y is None and not want_se:
+                acc = _col_sums(Wb, diffs[0], acc)
+            else:
+                G = _g_rows(Wb, diffs)
+                if want_se:
+                    acc_sq = _col_sums(G * G, carry=acc_sq)
+                acc = _col_sums(G, carry=acc)
         total += acc
         if want_se:
             total_sq += acc_sq

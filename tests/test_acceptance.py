@@ -35,6 +35,7 @@ from qzopt.objectives import GENERIC_EST_VAR_COEFF, _sample_xi_batch, sample_xi
 from qzopt.smoothing import (
     _g_delta_mean,
     _g_delta_rows,
+    _g_rows,
     _sphere_batch,
     g_delta,
     grad_f_delta_ref,
@@ -82,8 +83,8 @@ def test_criterion_02_estimator_variance_bound():
             if name == "quadratic-smooth":
                 # variance coefficient only certified inside the documented radius
                 x *= 1.4 / max(1.4, float(np.linalg.norm(x)))
-            G = _g_delta_rows(spec, x, 0.1, _sphere_batch(d, 10**5, rng),
-                              _sample_xi_batch(spec, 10**5, rng))
+            W = _sphere_batch(d, 10**5, rng)
+            G = _g_rows(W, _g_delta_rows(spec, x, 0.1, W, _sample_xi_batch(spec, 10**5, rng)))
             ref, _ = grad_f_delta_ref(spec, x, SM, 2 * 10**5,
                                       substream(1, f"c2r-{name}", d))
             mse = float(np.mean(np.sum((G - ref) ** 2, axis=1)))

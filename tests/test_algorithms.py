@@ -67,6 +67,21 @@ def test_param_derivation_errors():
     assert g0.p == 1.0 and g0.kappa == 0.0
 
 
+# positive finite arguments whose squares underflow to 0 used to divide by zero
+@pytest.mark.parametrize("derive,kwargs,name", [
+    (derive_params_qgfm, dict(eps=1e-170), "eps"),
+    (derive_params_qgfm_plus, dict(eps=1e-170), "eps"),
+    (derive_params_qgfm_plus, dict(delta=1e-170), "delta"),
+    (derive_params_qgfm_plus, dict(delta=1e-200), "delta"),
+    (derive_params_qgm_plus, dict(eps=1e-170), "eps"),
+], ids=lambda v: getattr(v, "__name__", None))
+def test_underflowing_squares_raise(derive, kwargs, name):
+    args = (dict(l=2.0, sigma=1.0, eps=0.5, Delta=0.7, d=4) if derive is derive_params_qgm_plus
+            else dict(d=4, L=1.0, delta=0.3, eps=0.5, Delta=0.7))
+    with pytest.raises(ValueError, match=f"^{name} is too small"):
+        derive(**{**args, **kwargs})
+
+
 def test_p_one_matches_plain_variant_bitwise():
     # with p=1 the variant refreshes every step, so the trajectories and
     # charges must coincide exactly, not just statistically

@@ -257,8 +257,9 @@ def test_verify_non_finite_delta_or_eps_exits_2(delta, eps, monkeypatch, capsys)
 
 
 def test_module_entry_point(config_path):
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
     proc = subprocess.run([sys.executable, "-m", "qzopt", "run",
                            "--config", str(config_path)],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert proc.stdout.startswith("algorithm,problem,")

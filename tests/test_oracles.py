@@ -17,7 +17,7 @@ from qzopt import (
     substream,
 )
 from qzopt.objectives import _sample_xi_batch
-from qzopt.smoothing import _g_delta_rows, _sphere_batch
+from qzopt.smoothing import _g_delta_rows, _g_rows, _sphere_batch
 
 SM = SmoothingParams(0.1)
 
@@ -74,8 +74,8 @@ def test_delta_g_shares_the_draw():
     rng = substream(3, "shared")
     W = _sphere_batch(3, 1, rng)
     payload = _sample_xi_batch(spec, 1, rng)
-    want = (_g_delta_rows(spec, x, SM.delta, W, payload)
-            - _g_delta_rows(spec, y, SM.delta, W, payload))[0]
+    want = (_g_rows(W, _g_delta_rows(spec, x, SM.delta, W, payload))
+            - _g_rows(W, _g_delta_rows(spec, y, SM.delta, W, payload)))[0]
     np.testing.assert_array_equal(got.value, want)
 
 
@@ -117,7 +117,8 @@ def test_estimate_grad_charges_and_floor():
     est = estimate_grad(spec, spec.x0, SM, 2.0 * 2.0, CostModel(), substream(4, "floor"), led)
     rng = substream(4, "floor")
     W = _sphere_batch(4, 1, rng)
-    single = _g_delta_rows(spec, spec.x0, SM.delta, W, _sample_xi_batch(spec, 1, rng))[0]
+    single = _g_rows(W, _g_delta_rows(spec, spec.x0, SM.delta, W,
+                                      _sample_xi_batch(spec, 1, rng)))[0]
     np.testing.assert_array_equal(est.value, single)
     assert led.uf_queries == 2
 

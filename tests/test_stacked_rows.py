@@ -1,18 +1,24 @@
 """The row kernels of the estimator, by bytes.
 
 ``objectives._row_sums`` must give the bytes of ``np.add.reduce(v, axis=-1)``
-on both sides of its switch, and ``smoothing._g_delta_rows`` must give, with
+on both sides of its switch, ``objectives._col_sums`` those of
+``np.add.reduce(G, axis=0) + 0.0`` (and a static scan keeps every other axis-0
+reduce out of the package), and ``smoothing._g_delta_rows`` must give, with
 its point sets stacked into one ``_F_rows`` call, the bytes of one call per
 set.  The stacked path rests on a property of numpy's matmul checked here
 too: a (k, m, d) @ a gives each set the bytes of its own (m, d) @ a.
 """
+import ast
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from qzopt import catalog_make, substream
 from qzopt import objectives, smoothing
-from qzopt.objectives import _F_rows, _row_sums, _sample_xi_batch
-from qzopt.smoothing import _STACK, _g_delta_mean, _g_delta_rows, _sphere_batch
+from qzopt.objectives import _F_rows, _col_sums, _row_sums, _sample_xi_batch
+from qzopt.smoothing import _STACK, _g_delta_mean, _g_delta_rows, _g_rows, _sphere_batch
 
 # (problem, noise_scale, noise_kind): every catalog problem with each noise it takes
 SPECS = (
@@ -47,13 +53,91 @@ def _row_sum_inputs(d, rows, rng):
 @pytest.mark.parametrize("d", range(1, 129))
 def test_row_sums_match_reduce(d):
     rng = np.random.default_rng(d)
-    switch = 32 * d  # rows from which 2 <= d < 8 takes the column adds
-    for rows in sorted({1, 2, 63, 64, 65, switch - 1, switch, switch + 1, 3 * switch}):
+    switch = 32 * d  # rows from which 2 <= d < 16 take the column adds
+    rows_list = {1, 2, 63, 64, 65, switch - 1, switch, switch + 1, 3 * switch}
+    if 8 <= d < 16:  # the pairwise column adds, at the estimate sizes of the benchmarks too
+        rows_list |= {16 * d, 178, 712, 900}
+    for rows in sorted(rows_list):
         for v in _row_sum_inputs(d, rows, rng):
             assert _bytes(_row_sums(v)) == _bytes(np.add.reduce(v, axis=-1)), (d, rows)
             # stacked point sets, as _F_rows passes them
             v3 = v.reshape(1, rows, d).repeat(3, axis=0)
             assert _bytes(_row_sums(v3)) == _bytes(np.add.reduce(v3, axis=-1)), (d, rows)
+
+
+def _reduce0(G):
+    return np.add.reduce(G, axis=0) + 0.0
+
+
+@pytest.mark.parametrize("d", range(1, 129))
+def test_col_sums_match_reduce(d):
+    rng = np.random.default_rng(1000 + d)
+    for whole in _row_sum_inputs(d, 16385, rng):
+        coefs = (rng.standard_normal(16385), rng.choice(SPECIALS, size=16385))
+        for rows in (1, 2, 63, 64, 65, 8191, 8192, 8193, 16385):
+            v = whole[:rows]  # a C-ordered prefix
+            coef = coefs[rows % 2][:rows]
+            carry = rng.choice(SPECIALS, size=d)
+            with np.errstate(all="ignore"):  # inf - inf and overflowing products
+                G = coef[:, None] * v
+                assert _bytes(_col_sums(v)) == _bytes(_reduce0(v)), (d, rows)
+                assert _bytes(_col_sums(v, coef)) == _bytes(_reduce0(G)), (d, rows)
+                want = G.copy()
+                want[0] += carry
+                want = _reduce0(want)
+                assert _bytes(_col_sums(v, coef, carry)) == _bytes(want), (d, rows)
+                assert _bytes(_col_sums(G, carry=carry)) == _bytes(want), (d, rows)
+
+
+# ---------------------------------------------------------------------------
+# column sums over axis 0 go through objectives._col_sums only
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "qzopt"
+
+
+def axis0_reduces(source: str) -> list[str]:
+    """The np.add.reduce(..., axis=0) calls in source, axis given by keyword
+    or position, as "function: line" with the enclosing function's name."""
+    out = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                and node.func.attr == "reduce" and isinstance(node.func.value, ast.Attribute) \
+                and node.func.value.attr == "add":
+            axis = [k.value for k in node.keywords if k.arg == "axis"] + node.args[1:2]
+            if axis and isinstance(axis[0], ast.Constant) and axis[0].value == 0:
+                out.append(f"{func}: {node.lineno}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(ast.parse(source), "<module>")
+    return out
+
+
+def test_scan_finds_axis0_reduces():
+    src = textwrap.dedent("""\
+        import numpy as np
+
+        def f(G, v):
+            a = np.add.reduce(G, axis=0)
+            b = np.add.reduce(G, 0) + np.add.reduce(v, axis=-1)
+            return a, b, np.add.reduce(G, axis=1), np.add.reduce(G)
+
+        s = np.add.reduce(np.ones((2, 2)), axis=0)
+        """)
+    assert axis0_reduces(src) == ["f: 4", "f: 5", "<module>: 8"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_axis0_reduces_are_in_col_sums_only(path):
+    # sum columns with objectives._col_sums, which takes no per-row calls
+    found = axis0_reduces(path.read_text())
+    if path.name == "objectives.py":
+        assert found and all(f.startswith("_col_sums: ") for f in found), found
+    else:
+        assert found == []
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 5, 8, 9, 64, 100])
@@ -101,7 +185,7 @@ def test_stacked_g_delta_rows_match_per_set_calls(problem, noise, kind, d):
             W = _sphere_batch(d, m, rng)
             payload = _sample_xi_batch(spec, m, rng)
             yy = y if with_y else None
-            got = _g_delta_rows(spec, x, 0.3, W, payload, yy)
+            got = _g_rows(W, _g_delta_rows(spec, x, 0.3, W, payload, yy))
             want = _per_set_g_delta_rows(spec, x, 0.3, W, payload, yy)
             assert got.shape == (m, d)
             assert _bytes(got) == _bytes(want), (with_y, m)
