@@ -173,13 +173,23 @@ def _square(name: str, v: float) -> float:
     return sq
 
 
+def _finite(name: str, what: str, v: float) -> float:
+    """v, a schedule value >= 0, when it is finite; one that overflows
+    raises ValueError naming the argument that is too small."""
+    try:
+        return _check_real(what, v, lo_open=False)
+    except ValueError:
+        raise ValueError(f"{name} is too small for the other arguments: {what} overflows") from None
+
+
 def derive_params_qgfm(d: int, L: float, delta: float, eps: float, Delta: float) -> QgfmParams:
     """Step size, accuracy target and step count for the plain method."""
     d, L, delta, eps, Delta = _nonsmooth_args(d, L, delta, eps, Delta)
     eps_sq = _square("eps", eps)
     rd = math.sqrt(d)
     eta = delta / (2.0 * rd * L)
-    T = math.ceil(2.0 / eps_sq * (4.0 * rd * L * L + 2.0 * rd * L * Delta / delta))
+    work = _finite("delta", "T", 4.0 * rd * L * L + 2.0 * rd * L * Delta / delta)
+    T = math.ceil(_finite("eps", "T", 2.0 / eps_sq * work))
     return QgfmParams(eta=eta, T=max(1, T), sigma1_sq=eps_sq / 2.0)
 
 
@@ -192,9 +202,9 @@ def derive_params_qgfm_plus(d: int, L: float, delta: float, eps: float, Delta: f
     rd = math.sqrt(d)
     eta = delta / (2.0 * rd * L)
     p = (eps / L) ** (2.0 / 3.0)
-    kappa = eps ** (2.0 / 3.0) * L ** (4.0 / 3.0) * d / delta_sq
+    kappa = _finite("delta", "kappa", eps ** (2.0 / 3.0) * L ** (4.0 / 3.0) * d / delta_sq)
     L_delta = rd * L / delta
-    T = math.ceil(8.0 * L_delta * (Delta + 2.0 * delta * L) / eps_sq + 4.0 / p)
+    T = math.ceil(_finite("eps", "T", 8.0 * L_delta * (Delta + 2.0 * delta * L) / eps_sq + 4.0 / p))
     return QgfmPlusParams(eta=eta, T=max(1, T), p=p, sigma1_sq=eps_sq / 2.0, kappa=kappa)
 
 
@@ -220,7 +230,8 @@ def derive_params_qgm_plus(l: float, sigma: float, eps: float, Delta: float, d: 
         p = (eps / sigma) ** (2.0 / 3.0)
         kappa = l * l * eps ** (2.0 / 3.0) / sigma ** (2.0 / 3.0)
     eta = 1.0 / (2.0 * l)
-    T = math.ceil(8.0 * l * Delta / eps_sq + 4.0 * sigma ** (2.0 / 3.0) / eps ** (4.0 / 3.0))
+    T = math.ceil(_finite("eps", "T", 8.0 * l * Delta / eps_sq
+                          + 4.0 * sigma ** (2.0 / 3.0) / eps ** (4.0 / 3.0)))
     return QgfmPlusParams(eta=eta, T=max(1, T), p=p, sigma1_sq=eps_sq / 2.0, kappa=kappa)
 
 

@@ -272,16 +272,16 @@ def _row_sums(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """np.add.reduce(v, axis=-1) to the bit, for a C-ordered v.
 
     numpy (>= 2.0) sums each row onto +0.0: for 2 <= d < 8 it adds the d
-    elements one after another, and for 8 <= d < 16 it adds them pairwise,
-    ((a0+a1)+(a2+a3))+((a4+a5)+(a6+a7)), then the rest one after another.
-    Whole-column adds in the same order give the same bytes (signed zeros,
-    subnormals and overflow included) in about d ufunc calls instead of one
-    call that pays about 20 ns per row.  They win from about 32 d rows on;
-    smaller batches, d = 1 and d >= 16 take reduce.  The tests pin these
-    bytes against reduce on both sides of the switch.
+    elements one after another, and at d = 8 it adds them pairwise,
+    ((a0+a1)+(a2+a3))+((a4+a5)+(a6+a7)).  Whole-column adds in the same
+    order give the same bytes (signed zeros, subnormals and overflow
+    included) in about d ufunc calls instead of one call that pays about
+    20 ns per row.  They win from about 32 d rows on; smaller batches, d = 1
+    and d > 8 (timed only at d = 8) take reduce.  The tests pin these bytes
+    against reduce on both sides of the switch.
     """
     d = v.shape[-1]
-    if not 2 <= d < 16 or v.size < 32 * d * d:
+    if not 2 <= d <= 8 or v.size < 32 * d * d:
         return np.add.reduce(v, axis=-1, out=out)
     if d < 8:
         s = np.add(v[..., 0], 0.0, out=out)
@@ -293,8 +293,6 @@ def _row_sums(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     t = v[..., 4] + v[..., 5]
     t += v[..., 6] + v[..., 7]
     s += t
-    for j in range(8, d):
-        s += v[..., j]
     s += 0.0
     return s
 

@@ -67,13 +67,21 @@ def test_param_derivation_errors():
     assert g0.p == 1.0 and g0.kappa == 0.0
 
 
-# positive finite arguments whose squares underflow to 0 used to divide by zero
+# positive finite arguments whose squares underflow to 0 used to divide by
+# zero; a subnormal or barely normal square (1e-160, 1e-154) overflowed T or
+# kappa to inf instead
 @pytest.mark.parametrize("derive,kwargs,name", [
     (derive_params_qgfm, dict(eps=1e-170), "eps"),
+    (derive_params_qgfm, dict(eps=1e-160), "eps"),
+    (derive_params_qgfm, dict(eps=1e-154), "eps"),
+    (derive_params_qgfm, dict(delta=1e-310), "delta"),
     (derive_params_qgfm_plus, dict(eps=1e-170), "eps"),
+    (derive_params_qgfm_plus, dict(eps=1e-160), "eps"),
     (derive_params_qgfm_plus, dict(delta=1e-170), "delta"),
     (derive_params_qgfm_plus, dict(delta=1e-200), "delta"),
+    (derive_params_qgfm_plus, dict(delta=1e-160), "delta"),
     (derive_params_qgm_plus, dict(eps=1e-170), "eps"),
+    (derive_params_qgm_plus, dict(eps=1e-160), "eps"),
 ], ids=lambda v: getattr(v, "__name__", None))
 def test_underflowing_squares_raise(derive, kwargs, name):
     args = (dict(l=2.0, sigma=1.0, eps=0.5, Delta=0.7, d=4) if derive is derive_params_qgm_plus

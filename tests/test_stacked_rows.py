@@ -53,9 +53,9 @@ def _row_sum_inputs(d, rows, rng):
 @pytest.mark.parametrize("d", range(1, 129))
 def test_row_sums_match_reduce(d):
     rng = np.random.default_rng(d)
-    switch = 32 * d  # rows from which 2 <= d < 16 take the column adds
+    switch = 32 * d  # rows from which 2 <= d <= 8 take the column adds
     rows_list = {1, 2, 63, 64, 65, switch - 1, switch, switch + 1, 3 * switch}
-    if 8 <= d < 16:  # the pairwise column adds, at the estimate sizes of the benchmarks too
+    if 8 <= d < 16:  # d = 8's pairwise adds and reduce above it, at the benchmarks' estimate sizes too
         rows_list |= {16 * d, 178, 712, 900}
     for rows in sorted(rows_list):
         for v in _row_sum_inputs(d, rows, rng):
