@@ -37,8 +37,8 @@ from .objectives import (
     XiSample,
     _block_rows,
     _check_int,
-    _check_point,
     _F_rows,
+    _finite_point,
     _payload_rows,
     _row_norms,
 )
@@ -392,7 +392,8 @@ def emulate_U_g(
     Agrees with the float evaluation within
     2^(1-frac_bits) * (d / 2 delta) * (1 + ||x|| + L) per coordinate.
 
-    The tape gets the stages once all of them have run.  A register that
+    The tape gets the stages once all of them have run.  A non-finite x
+    or w raises ValueError before any stage runs.  A finite register that
     leaves the fixed-point range raises OverflowError (see
     fixed_point_quantize) and leaves the tape as it was.
     """
@@ -414,8 +415,10 @@ def emulate_V_g(
     x == y gives exactly zero: both branches run the identical
     computation on identical register contents.  The tape gets the x
     branch's stages, then the y branch's, then the final sub and mul,
-    once all of them have run; an OverflowError from either branch, or
-    from the final stages, leaves the tape as it was.
+    once all of them have run.  A non-finite x, y or w raises ValueError
+    before any stage runs; an OverflowError (a finite register out of the
+    fixed-point range) from either branch, or from the final stages,
+    leaves the tape as it was.
     """
     return _emulate(spec, (x, y), params, xi, w, layout, tape)
 
@@ -424,10 +427,10 @@ def _emulate(spec: ObjectiveSpec, points: tuple, params: SmoothingParams, xi: Xi
              w: np.ndarray, layout: RegisterLayout, tape: StageTape | None) -> np.ndarray:
     """The staged pipeline over one point (U_g) or two (V_g).
 
-    w's shape is checked first, then xi's payload, then the points.  Each
-    branch computes diff = F(x + delta w) - F(x - delta w), scaled by
-    d/(2 delta), on the quantized w; two branches are subtracted; the
-    result is multiplied by the quantized w.  Each register stage is
+    w is checked first (shape and finite entries), then xi's payload, then
+    the points.  Each branch computes diff = F(x + delta w) - F(x - delta w),
+    scaled by d/(2 delta), on the quantized w; two branches are subtracted;
+    the result is multiplied by the quantized w.  Each register stage is
     quantized once for all branches: the points, then x + delta w and
     x - delta w for each point in turn.  Those rows go to F as one _F_rows
     call of one-row sets, each with the bytes of its own call, so every
@@ -437,9 +440,9 @@ def _emulate(spec: ObjectiveSpec, points: tuple, params: SmoothingParams, xi: Xi
     """
     grid = _grid(layout.frac_bits)
     q = lambda v: _quantize(v, *grid)  # noqa: E731
-    wq = q(_check_point(spec, w))
+    wq = q(_finite_point(spec, w))
     payload = _payload_rows(spec, xi)
-    rows = [_check_point(spec, p) for p in points]
+    rows = [_finite_point(spec, p) for p in points]
     k = len(rows)
     xq = q(rows[0][None, :] if k == 1 else np.stack(rows))
     dw = params.delta * wq

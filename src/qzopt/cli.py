@@ -29,38 +29,33 @@ from .stationarity import exact_goldstein_distance, goldstein_residual, verify_s
 __all__ = ["build_parser", "main"]
 
 
-def _add_shared(p: argparse.ArgumentParser) -> None:
-    # Also accepted after the subcommand; SUPPRESS keeps the subparser from
-    # overwriting a value given before it.
-    p.add_argument("--seed", type=int, default=argparse.SUPPRESS,
-                   help="override the seed list / seed the demo")
-    p.add_argument("--out", type=str, default=argparse.SUPPRESS, help="output CSV path")
-    p.add_argument("--cost-mode", choices=("quantum", "classical"), default=argparse.SUPPRESS)
+def _add_shared(p: argparse.ArgumentParser, default) -> None:
+    """The options accepted both before and after the subcommand: the top
+    level defaults them to None, and each subcommand to SUPPRESS, which
+    keeps it from overwriting a value given before it."""
+    p.add_argument("--seed", type=int, default=default, help="override the seed list / seed the demo")
+    p.add_argument("--out", type=str, default=default, help="output CSV path")
+    p.add_argument("--cost-mode", choices=("quantum", "classical"), default=default)
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="qzopt", description=__doc__)
-    parser.add_argument("--seed", type=int, default=None, help="override the seed list / seed the demo")
-    parser.add_argument("--out", type=str, default=None, help="output CSV path")
-    parser.add_argument("--cost-mode", choices=("quantum", "classical"), default=None)
+    _add_shared(parser, None)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run one experiment config, emit CSV rows")
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--timings", action="store_true", help="record wall_ms (breaks byte-determinism)")
-    _add_shared(p_run)
 
     p_sweep = sub.add_parser("sweep", help="run an eps grid and fit the query-scaling exponent")
     p_sweep.add_argument("--config", required=True)
     p_sweep.add_argument("--timings", action="store_true")
-    _add_shared(p_sweep)
 
     p_circ = sub.add_parser("circuit-demo", help="sample the (xi, w) circuit and print diagnostics")
     p_circ.add_argument("--m1", type=int, required=True)
     p_circ.add_argument("--m2", type=int, required=True)
     p_circ.add_argument("--d", type=int, required=True)
     p_circ.add_argument("--n", type=int, required=True)
-    _add_shared(p_circ)
 
     p_ver = sub.add_parser("verify", help="check a point for (delta, eps) stationarity")
     p_ver.add_argument("--problem", required=True, choices=CATALOG_NAMES)
@@ -68,7 +63,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--point", required=True, help="comma-separated coordinates")
     p_ver.add_argument("--delta", type=float, required=True)
     p_ver.add_argument("--eps", type=float, required=True)
-    _add_shared(p_ver)
+    for p in sub.choices.values():
+        _add_shared(p, argparse.SUPPRESS)
     return parser
 
 
@@ -79,8 +75,16 @@ def _load_config(args: argparse.Namespace):
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from None
     config = config_from_mapping(parse_config(text))
-    return apply_overrides(config, seed=args.seed, out=args.out,
-                           cost_mode=args.cost_mode, timings=args.timings or None)
+    config = apply_overrides(config, seed=args.seed, out=args.out,
+                             cost_mode=args.cost_mode, timings=args.timings or None)
+    if config.out_path:
+        # open the output (creating it empty) before the first cell runs, so
+        # that an unwritable path fails at once, not after the whole run
+        try:
+            open(config.out_path, "a").close()
+        except OSError as exc:
+            raise ConfigError(f"cannot write output: {exc}") from None
+    return config
 
 
 def _emit_rows(rows, config) -> int:

@@ -55,12 +55,6 @@ __all__ = [
 
 ALGORITHMS = ("qgfm", "qgfm_plus", "qgm_plus")
 
-CSV_COLUMNS = (
-    "algorithm", "problem", "d", "L", "delta", "eps", "seed", "T", "p",
-    "uf_queries", "classical_queries", "grad_oracle_queries",
-    "residual_est", "residual_halfwidth", "verdict", "wall_ms",
-)
-
 
 class ConfigError(ValueError):
     """Invalid configuration (maps to CLI exit code 2)."""
@@ -208,6 +202,8 @@ def config_from_mapping(mapping: dict[str, str]) -> ExperimentConfig:
 
 @dataclass
 class RunRow:
+    """One CSV row; its fields, in order, are the CSV columns."""
+
     algorithm: str
     problem: str
     d: int
@@ -236,6 +232,9 @@ class RunRow:
             else:
                 out.append(str(v))
         return out
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(RunRow))
 
 
 def build_spec(config: ExperimentConfig) -> ObjectiveSpec:

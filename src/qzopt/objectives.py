@@ -153,20 +153,8 @@ def catalog_make(
     if name == "constant":
         # Any positive L is a valid bound for the zero function; keep it tiny
         # so derived step counts collapse.
-        return ObjectiveSpec(
-            name=name,
-            d=d,
-            L=1e-9,
-            noise_kind=noise_kind,
-            noise_scale=noise_scale,
-            f_star=0.0,
-            delta_0=0.0,
-            x0=np.zeros(d),
-            est_var_coeff=1.0,
-            diff_var_coeff=1.0 / d,
-        )
-
-    if name == "abs-linear":
+        own = dict(L=1e-9, delta_0=0.0, x0=np.zeros(d))
+    elif name == "abs-linear":
         if direction is None:
             a = np.full(d, 1.0 / math.sqrt(d))
         else:
@@ -180,59 +168,39 @@ def catalog_make(
                 raise ValueError("direction must be nonzero")
             a = a / nrm
         x0 = np.full(d, 1.0 / math.sqrt(d))
-        return ObjectiveSpec(
-            name=name,
-            d=d,
-            L=1.0,
-            noise_kind=noise_kind,
-            noise_scale=noise_scale,
-            f_star=0.0,
-            delta_0=float(abs(a @ x0)),
-            x0=x0,
-            direction=a,
-            est_var_coeff=1.0,
-            diff_var_coeff=1.0,
-        )
-
-    if name == "sawtooth":
-        L = math.sqrt(d) if noise_kind == "component-subsample" else 1.0
-        x0 = np.full(d, 0.5)
-        return ObjectiveSpec(
-            name=name,
-            d=d,
-            L=L,
-            noise_kind=noise_kind,
-            noise_scale=noise_scale,
-            f_star=0.0,
+        own = dict(L=1.0, delta_0=float(abs(a @ x0)), x0=x0, direction=a, diff_var_coeff=1.0)
+    elif name == "sawtooth":
+        own = dict(
+            L=math.sqrt(d) if noise_kind == "component-subsample" else 1.0,
             delta_0=0.5 * math.sqrt(d),
-            x0=x0,
-            est_var_coeff=1.0,
-            diff_var_coeff=1.0 / d,
+            x0=np.full(d, 0.5),
         )
-
-    if name == "quadratic-smooth":
+    elif name == "quadratic-smooth":
         lam = np.linspace(1.0, 2.0, d)
         lmax = float(lam.max())
-        x0 = np.full(d, 1.0 / math.sqrt(d))
-        # Lipschitz bound for values inside the certified domain radius.
-        L = lmax * QUADRATIC_DOMAIN_RADIUS + noise_scale
-        return ObjectiveSpec(
-            name=name,
-            d=d,
-            L=L,
-            noise_kind=noise_kind,
-            noise_scale=noise_scale,
-            f_star=0.0,
+        own = dict(
+            # Lipschitz bound for values inside the certified domain radius.
+            L=lmax * QUADRATIC_DOMAIN_RADIUS + noise_scale,
             delta_0=float(lam.mean() / 2.0),
-            x0=x0,
+            x0=np.full(d, 1.0 / math.sqrt(d)),
             smooth_params=(lmax, noise_scale),
             lambdas=lam,
             domain_radius=QUADRATIC_DOMAIN_RADIUS,
-            est_var_coeff=1.0,
-            diff_var_coeff=1.0 / d,
         )
-
-    raise ValueError(f"unknown catalog problem {name!r}")
+    else:
+        raise ValueError(f"unknown catalog problem {name!r}")
+    # the fields every entry shares, with the certified variance constants of
+    # the module docstring; an entry's own fields override them
+    shared = dict(
+        name=name,
+        d=d,
+        noise_kind=noise_kind,
+        noise_scale=noise_scale,
+        f_star=0.0,
+        est_var_coeff=1.0,
+        diff_var_coeff=1.0 / d,
+    )
+    return ObjectiveSpec(**{**shared, **own})
 
 
 # ---------------------------------------------------------------------------
@@ -448,16 +416,16 @@ def _check_real(name: str, v, lo_open: bool = True) -> float:
     raise ValueError(f"{name} must be {'positive' if lo_open else 'non-negative'} and finite")
 
 
-def _check_point(spec: ObjectiveSpec, x: np.ndarray) -> np.ndarray:
+def _finite_point(spec: ObjectiveSpec, x: np.ndarray) -> np.ndarray:
+    """x as a float array, for a point of shape (d,) with finite entries;
+    every module checks its points with this.  A finite sum of squares
+    proves every entry finite in one cheap call; only when it is not (a
+    non-finite entry, or finite entries whose squares overflow, which numpy
+    warns of) are the entries tested one by one."""
     x = np.asarray(x, dtype=float)
     if x.shape != (spec.d,):
         raise ValueError(f"point must have shape ({spec.d},), got {x.shape}")
-    return x
-
-
-def _finite_point(spec: ObjectiveSpec, x: np.ndarray) -> np.ndarray:
-    x = _check_point(spec, x)
-    if not np.isfinite(x).all():
+    if not math.isfinite(x.dot(x)) and not np.isfinite(x).all():
         raise ValueError("point must be finite")
     return x
 
@@ -469,8 +437,8 @@ def eval_f(spec: ObjectiveSpec, x: np.ndarray) -> float:
 
 
 def eval_F(spec: ObjectiveSpec, x: np.ndarray, xi: XiSample) -> float:
-    """One stochastic evaluation F(x; xi)."""
-    x = _check_point(spec, x)
+    """One stochastic evaluation F(x; xi); a non-finite point raises ValueError."""
+    x = _finite_point(spec, x)
     payload = _payload_rows(spec, xi)
     return float(_F_rows(spec, x[None, :], payload)[0])
 

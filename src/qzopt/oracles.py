@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .objectives import (ObjectiveSpec, _check_int, _check_point, _check_real, _col_sums,
+from .objectives import (ObjectiveSpec, _check_int, _check_real, _col_sums, _finite_point,
                          _sample_xi_batch)
 from .smoothing import SmoothingParams, _g_delta_mean
 
@@ -169,8 +169,8 @@ def _diff_step(
     """
     if step is not None:
         return x, y, *step
-    x = _check_point(spec, x)
-    y = _check_point(spec, y)
+    x = _finite_point(spec, x)
+    y = _finite_point(spec, y)
     if not np.count_nonzero(x != y):  # x == y
         return None
     v = x - y
@@ -198,7 +198,7 @@ def estimate_grad(
     2 * max(1, ceil(c_q * d * L / sigma_hat)); classical charge 2n.
     """
     sigma_hat = _check_real("sigma_hat", sigma_hat)
-    x = _check_point(spec, x)
+    x = _finite_point(spec, x)
     d, L = spec.d, spec.L
     n = max(1, math.ceil(spec.est_var_coeff * d * L * L / (sigma_hat * sigma_hat)))
     value = _g_delta_mean(spec, x, params.delta, n, rng)
@@ -258,7 +258,7 @@ def estimate_sgrad(
     if spec.smooth_params is None:
         raise ValueError(f"{spec.name!r} exposes no smooth gradient oracle")
     sigma_hat = _check_real("sigma_hat", sigma_hat)
-    x = _check_point(spec, x)
+    x = _finite_point(spec, x)
     _, sigma = spec.smooth_params
     n = max(1, math.ceil(sigma * sigma / (sigma_hat * sigma_hat)))
     value = spec.lambdas * x

@@ -94,12 +94,10 @@ def g_delta(
     w: np.ndarray,
     xi: XiSample,
 ) -> np.ndarray:
-    """One two-point estimate of grad f_delta(x) along direction w."""
-    x = np.asarray(x, dtype=float)
-    w = np.asarray(w, dtype=float)
-    if x.shape != (spec.d,) or w.shape != (spec.d,):
-        raise ValueError("x and w must have shape (d,)")
-    W = w[None, :]
+    """One two-point estimate of grad f_delta(x) along direction w; a
+    non-finite x or w raises ValueError."""
+    x = _finite_point(spec, x)
+    W = _finite_point(spec, w)[None, :]
     return _g_rows(W, _g_delta_rows(spec, x, params.delta, W, _payload_rows(spec, xi)))[0]
 
 

@@ -1,11 +1,13 @@
-"""One rule for numeric arguments, at every public entry point.
+"""One rule for numeric arguments and one for points, at every public entry point.
 
 An integer argument is a Python or numpy integer, never a bool or a float;
 a real argument is a finite Python or numpy int or float, never a bool.
 NaN, +-inf, True, a value out of range and 2.5 where an integer is asked
 for raise ValueError (ConfigError for an experiment config), and a numpy
 scalar gives the result its Python twin gives, to the type of each stored
-number.  A static scan keeps the rule in one place.
+number.  A point has shape (d,) and finite entries: a NaN or +-inf entry
+raises ValueError before any draw, charge or circuit stage.  Static scans
+keep both rules in one place.
 """
 import ast
 import dataclasses
@@ -24,17 +26,24 @@ from qzopt import (
     QueryLedger,
     RegisterLayout,
     SmoothingParams,
+    StageTape,
+    XiSample,
     catalog_make,
     derive_params_qgfm,
     derive_params_qgfm_plus,
     derive_params_qgm_plus,
+    emulate_U_g,
+    emulate_V_g,
     estimate_grad,
     estimate_grad_diff,
     estimate_sgrad,
     estimate_sgrad_diff,
+    eval_F,
+    eval_f,
     exact_goldstein_distance,
     f_delta,
     fixed_point_quantize,
+    g_delta,
     goldstein_residual,
     grad_f_delta_ref,
     measure_sample_batch,
@@ -152,11 +161,11 @@ QGFM_PARAMS = QgfmParams(**QGFM_SCHEDULE)
 PLUS_PARAMS = QgfmPlusParams(**PLUS_SCHEDULE)
 
 
-def _run(optimizer, **kw):
+def _run(optimizer, x0=X, **kw):
     if optimizer is qgm_plus:
-        return qgm_plus(QUAD, X, PLUS_PARAMS, CostModel(), 0, trace=True, **kw)
+        return qgm_plus(QUAD, x0, PLUS_PARAMS, CostModel(), 0, trace=True, **kw)
     params = QGFM_PARAMS if optimizer is qgfm else PLUS_PARAMS
-    return optimizer(SPEC, X, params, SM, CostModel(), 0, trace=True, **kw)
+    return optimizer(SPEC, x0, params, SM, CostModel(), 0, trace=True, **kw)
 
 
 def _run_case(optimizer, name):
@@ -245,6 +254,83 @@ def test_numpy_scalars_give_the_python_result(case):
 
 
 # ---------------------------------------------------------------------------
+# points: every public function that takes one, each point argument on its own
+
+W = np.array([0.6, 0.8])
+NOISE = XiSample(None)
+
+# (id, call with the point, an rng, a ledger and a tape)
+POINT_CASES = [
+    ("eval_f.x", lambda p, rng, led, tape: eval_f(SPEC, p)),
+    ("eval_F.x", lambda p, rng, led, tape: eval_F(SPEC, p, NOISE)),
+    ("g_delta.x", lambda p, rng, led, tape: g_delta(SPEC, p, SM, W, NOISE)),
+    ("g_delta.w", lambda p, rng, led, tape: g_delta(SPEC, X, SM, p, NOISE)),
+    ("f_delta.x", lambda p, rng, led, tape: f_delta(SPEC, p, SM)),
+    ("f_delta.x/mc", lambda p, rng, led, tape: f_delta(SPEC, p, SM, mode="mc", n=10, rng=rng)),
+    ("grad_f_delta_ref.x", lambda p, rng, led, tape: grad_f_delta_ref(SPEC, p, SM, 10, rng)),
+    ("estimate_grad.x",
+     lambda p, rng, led, tape: estimate_grad(SPEC, p, SM, 0.5, CostModel(), rng, led)),
+    ("estimate_grad_diff.x",
+     lambda p, rng, led, tape: estimate_grad_diff(SPEC, p, Y, SM, 0.5, CostModel(), rng, led)),
+    ("estimate_grad_diff.y",
+     lambda p, rng, led, tape: estimate_grad_diff(SPEC, X, p, SM, 0.5, CostModel(), rng, led)),
+    ("estimate_sgrad.x",
+     lambda p, rng, led, tape: estimate_sgrad(QUAD, p, 0.5, CostModel(), rng, led)),
+    ("estimate_sgrad_diff.x",
+     lambda p, rng, led, tape: estimate_sgrad_diff(QUAD, p, Y, 0.5, CostModel(), rng, led)),
+    ("estimate_sgrad_diff.y",
+     lambda p, rng, led, tape: estimate_sgrad_diff(QUAD, X, p, 0.5, CostModel(), rng, led)),
+    ("goldstein_residual.x", lambda p, rng, led, tape: goldstein_residual(SPEC, p, SM, 50, 0.9, rng)),
+    ("verify_stationary.x",
+     lambda p, rng, led, tape: verify_stationary(SPEC, p, SM, 3.0, 0.95, rng, n0=50)),
+    ("exact_goldstein_distance.x", lambda p, rng, led, tape: exact_goldstein_distance(SPEC, p, 0.2)),
+    ("emulate_U_g.x", lambda p, rng, led, tape: emulate_U_g(SPEC, p, SM, NOISE, W, LAYOUT, tape)),
+    ("emulate_U_g.w", lambda p, rng, led, tape: emulate_U_g(SPEC, X, SM, NOISE, p, LAYOUT, tape)),
+    ("emulate_V_g.x",
+     lambda p, rng, led, tape: emulate_V_g(SPEC, p, Y, SM, NOISE, W, LAYOUT, tape)),
+    ("emulate_V_g.y",
+     lambda p, rng, led, tape: emulate_V_g(SPEC, X, p, SM, NOISE, W, LAYOUT, tape)),
+    ("emulate_V_g.w",
+     lambda p, rng, led, tape: emulate_V_g(SPEC, X, Y, SM, NOISE, p, LAYOUT, tape)),
+    ("qgfm.x0", lambda p, rng, led, tape: _run(qgfm, x0=p)),
+    ("qgfm_plus.x0", lambda p, rng, led, tape: _run(qgfm_plus, x0=p)),
+    ("qgm_plus.x0", lambda p, rng, led, tape: _run(qgm_plus, x0=p)),
+]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=str)
+@pytest.mark.parametrize("case", POINT_CASES, ids=[case[0] for case in POINT_CASES])
+def test_non_finite_points_raise_before_any_draw(case, bad, monkeypatch):
+    def no_estimate(*args, **kwargs):
+        raise AssertionError("an estimate was drawn")
+
+    _, call = case
+    call(X, _rng(), QueryLedger(), StageTape())  # the valid point is accepted
+    # the optimizers draw from their own streams into their own ledgers
+    for estimator in ("estimate_grad", "estimate_grad_diff", "estimate_sgrad",
+                      "estimate_sgrad_diff"):
+        monkeypatch.setattr(algorithms, estimator, no_estimate)
+    point = X.copy()
+    point[1] = bad
+    rng, ledger, tape = _rng(), QueryLedger(), StageTape()
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="^point must be finite$"):
+        call(point, rng, ledger, tape)
+    assert ledger == QueryLedger()
+    assert tape.stages == [] and tape.uf_calls == 0
+    assert rng.bit_generator.state == state
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_a_finite_point_whose_squares_overflow_passes():
+    # x.dot(x) overflows to inf here (numpy warns of it), so the rule falls
+    # back to the entries, which are finite
+    big = np.array([1e200, 1e200])
+    assert eval_f(SPEC, big) == pytest.approx(math.sqrt(2.0) * 1e200, rel=1e-15)
+    assert f_delta(SPEC, big, SM) == pytest.approx(eval_f(SPEC, big), rel=1e-15)
+
+
+# ---------------------------------------------------------------------------
 # the rule lives in objectives._check_int and objectives._check_real only
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "qzopt"
@@ -291,3 +377,37 @@ def test_scan_finds_argument_idioms():
 def test_no_hand_written_argument_checks(path):
     # check numbers with objectives._check_int / _check_real instead
     assert argument_idioms(path.read_text()) == []
+
+
+def point_shape_checks(source: str) -> list[str]:
+    """Hand-written point checks: a comparison of a .shape with (spec.d,)."""
+    def is_spec_d(node):
+        return (isinstance(node, ast.Tuple) and len(node.elts) == 1
+                and isinstance(node.elts[0], ast.Attribute) and node.elts[0].attr == "d"
+                and isinstance(node.elts[0].value, ast.Name) and node.elts[0].value.id == "spec")
+
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            if (any(isinstance(v, ast.Attribute) and v.attr == "shape" for v in operands)
+                    and any(is_spec_d(v) for v in operands)):
+                out.append(f"line {node.lineno}: .shape vs (spec.d,)")
+    return out
+
+
+def test_scan_finds_point_shape_checks():
+    src = textwrap.dedent("""\
+        def f(spec, x, w, d):
+            if x.shape != (spec.d,) or (spec.d,) == w.shape:
+                raise ValueError
+            return x.shape == (d,) or len(x) == spec.d
+        """)
+    assert point_shape_checks(src) == ["line 2: .shape vs (spec.d,)", "line 2: .shape vs (spec.d,)"]
+
+
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "objectives.py"),
+                         ids=lambda p: p.name)
+def test_no_hand_written_point_checks(path):
+    # check points with objectives._finite_point instead
+    assert point_shape_checks(path.read_text()) == []

@@ -44,6 +44,21 @@ def test_run_to_file(config_path, tmp_path, capsys):
     assert out_path.read_text().startswith("algorithm,problem,")
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_unwritable_output_exits_2_before_the_first_cell(command, config_path, tmp_path,
+                                                          monkeypatch, capsys):
+    def no_cell(*args, **kwargs):
+        raise AssertionError("a cell ran before the output path was checked")
+
+    monkeypatch.setattr(harness, "run_one", no_cell)
+    out_path = tmp_path / "missing" / "rows.csv"
+    assert main([command, "--config", str(config_path), "--out", str(out_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: cannot write output: ")
+    assert captured.out == ""
+    assert not out_path.parent.exists()
+
+
 def test_global_flags_accepted_on_both_sides(config_path, tmp_path, capsys):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     assert main(["--seed", "3", "run", "--config", str(config_path), "--out", str(a)]) == 0
