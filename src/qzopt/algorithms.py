@@ -40,7 +40,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .objectives import ObjectiveSpec, _check_int, _check_real, _finite_point
+from .objectives import (ObjectiveSpec, _check_int, _check_real, _draws_unit_rows, _finite,
+                         _finite_point, _RowStream, _square)
 from .oracles import (
     CostModel,
     QueryLedger,
@@ -162,24 +163,6 @@ def _nonsmooth_args(d, L, delta, eps, Delta) -> tuple[int, float, float, float, 
     """The checked (d, L, delta, eps, Delta) of a non-smooth schedule."""
     return (_check_int("d", d, 1), _check_real("L", L), _check_real("delta", delta),
             _check_real("eps", eps), _check_real("Delta", Delta, lo_open=False))
-
-
-def _square(name: str, v: float) -> float:
-    """v * v for a checked v > 0; a square that underflows to 0 raises
-    ValueError, as the schedules divide by it."""
-    sq = v * v
-    if sq == 0.0:
-        raise ValueError(f"{name} is too small: its square underflows to 0")
-    return sq
-
-
-def _finite(name: str, what: str, v: float) -> float:
-    """v, a schedule value >= 0, when it is finite; one that overflows
-    raises ValueError naming the argument that is too small."""
-    try:
-        return _check_real(what, v, lo_open=False)
-    except ValueError:
-        raise ValueError(f"{name} is too small for the other arguments: {what} overflows") from None
 
 
 def derive_params_qgfm(d: int, L: float, delta: float, eps: float, Delta: float) -> QgfmParams:
@@ -335,6 +318,13 @@ def _optimize(
     the smooth track, which selects the gradient-oracle estimators, budget
     counter, exact residual and phi, leaving residual_n,
     residual_confidence and trace_ref_n unused.
+
+    The estimate stream is a row stream (objectives._RowStream) when every
+    draw from it is a unit row: on noise-free problems, and on the
+    quadratic with additive offsets, whose payload is scaled sphere rows
+    (which covers the smooth track).  Its rows and its end are those of the
+    plain generator; uniform and integer payloads interleave with the
+    directions' normals, so those runs draw from the generator itself.
     """
     plain = algorithm == "qgfm"
     eta, T = params.eta, params.T
@@ -343,6 +333,8 @@ def _optimize(
     store = _trajectory(spec, x0, T)
     sigma1 = math.sqrt(params.sigma1_sq)
     est_rng = substream(seed, "est")
+    if _draws_unit_rows(spec):
+        est_rng = _RowStream(est_rng, spec.d)
     ledger = QueryLedger()
     records: list[TraceRecord] = []
     steps, exceeded = T, False

@@ -13,7 +13,10 @@ import numpy as np
 from .circuit import RegisterLayout, _pipeline_blocks, invalid_probability
 from .harness import (
     ConfigError,
+    _check_schedules,
+    _sweep_grid,
     apply_overrides,
+    build_spec,
     config_from_mapping,
     parse_config,
     rows_to_csv,
@@ -68,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(args: argparse.Namespace):
+def _load_config(args: argparse.Namespace, sweep: bool = False):
     try:
         with open(args.config) as fh:
             text = fh.read()
@@ -77,6 +80,11 @@ def _load_config(args: argparse.Namespace):
     config = config_from_mapping(parse_config(text))
     config = apply_overrides(config, seed=args.seed, out=args.out,
                              cost_mode=args.cost_mode, timings=args.timings or None)
+    # the checks that need no cell come before the output is opened, so that
+    # a config failing one leaves no empty output file behind
+    if sweep:
+        _sweep_grid(config)
+    _check_schedules(config, build_spec(config))
     if config.out_path:
         # open the output (creating it empty) before the first cell runs, so
         # that an unwritable path fails at once, not after the whole run
@@ -105,7 +113,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    config = _load_config(args)
+    config = _load_config(args, sweep=True)
     rows = run_experiment(config)
     fit = scaling_sweep(config, rows=rows)
     code = _emit_rows(rows, config)

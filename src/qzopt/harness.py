@@ -247,22 +247,36 @@ def _verdict(result: RunResult, eps: float) -> str:
     return _interval_verdict(result.residual, eps)
 
 
+def _schedule(config: ExperimentConfig, spec: ObjectiveSpec, eps: float):
+    """The schedule of config's cells at eps; one that cannot be derived
+    raises ConfigError or ValueError."""
+    if config.algorithm == "qgm_plus":
+        if spec.smooth_params is None:
+            raise ConfigError(f"{config.problem} has no smooth gradient oracle")
+        l, sigma = spec.smooth_params
+        return derive_params_qgm_plus(l, sigma, eps, spec.delta_0, spec.d)
+    derive = derive_params_qgfm if config.algorithm == "qgfm" else derive_params_qgfm_plus
+    return derive(spec.d, spec.L, config.delta, eps, spec.delta_0)
+
+
+def _check_schedules(config: ExperimentConfig, spec: ObjectiveSpec) -> None:
+    """Derive every eps's schedule before any cell runs, so that a config
+    that fails at one eps fails before the first cell."""
+    for eps in config.eps_grid:
+        _schedule(config, spec, eps)
+
+
 def run_one(config: ExperimentConfig, spec: ObjectiveSpec, eps: float, seed: int) -> RunRow:
     """Derive the schedule, run, classify the residual against eps."""
     t0 = time.perf_counter()
+    params = _schedule(config, spec, eps)
     if config.algorithm in ("qgfm", "qgfm_plus"):
         # picked per call from the module globals, which the benchmark's span tracer rebinds
-        derive, run = ((derive_params_qgfm, qgfm) if config.algorithm == "qgfm"
-                       else (derive_params_qgfm_plus, qgfm_plus))
-        params = derive(spec.d, spec.L, config.delta, eps, spec.delta_0)
+        run = qgfm if config.algorithm == "qgfm" else qgfm_plus
         result = run(spec, spec.x0, params, SmoothingParams(config.delta), config.cost, seed,
                      budget=config.budget, residual_n=config.residual_n,
                      residual_confidence=config.residual_confidence)
     else:
-        if spec.smooth_params is None:
-            raise ConfigError(f"{config.problem} has no smooth gradient oracle")
-        l, sigma = spec.smooth_params
-        params = derive_params_qgm_plus(l, sigma, eps, spec.delta_0, spec.d)
         result = qgm_plus(spec, spec.x0, params, config.cost, seed, budget=config.budget)
     wall_ms = int(round((time.perf_counter() - t0) * 1000.0)) if config.timings else 0
     led = result.ledger
@@ -289,6 +303,7 @@ def run_one(config: ExperimentConfig, spec: ObjectiveSpec, eps: float, seed: int
 def run_experiment(config: ExperimentConfig) -> list[RunRow]:
     """One run per (seed, eps); rows in canonical order (eps desc, seed asc)."""
     spec = build_spec(config)
+    _check_schedules(config, spec)
     rows = [run_one(config, spec, eps, seed)
             for eps in config.eps_grid for seed in config.seeds]
     rows.sort(key=lambda r: (-r.eps, r.seed))
@@ -341,13 +356,20 @@ def primary_queries(row: RunRow, config: ExperimentConfig) -> int:
     return _primary_count(row, config.cost, config.algorithm == "qgm_plus")
 
 
-def scaling_sweep(config: ExperimentConfig, rows: list[RunRow] | None = None) -> SlopeFit:
-    """Fit the measured query exponent over the config's eps grid."""
+def _sweep_grid(config: ExperimentConfig) -> list[float]:
+    """The config's distinct eps values, largest first; a grid too small to
+    fit a slope over raises ConfigError."""
     eps_vals = sorted(set(config.eps_grid), reverse=True)
     if len(eps_vals) < 3:
         raise ConfigError("sweep needs at least 3 distinct eps values")
     if max(eps_vals) / min(eps_vals) < 4.0:
         raise ConfigError("sweep eps grid must span at least a 4x ratio")
+    return eps_vals
+
+
+def scaling_sweep(config: ExperimentConfig, rows: list[RunRow] | None = None) -> SlopeFit:
+    """Fit the measured query exponent over the config's eps grid."""
+    eps_vals = _sweep_grid(config)
     if rows is None:
         rows = run_experiment(config)
     points = []

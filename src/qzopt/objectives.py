@@ -307,7 +307,7 @@ def _row_norms(v: np.ndarray) -> np.ndarray:
     return norms
 
 
-def _unit_rows(d: int, n: int, rng: np.random.Generator, more: int = 0) -> np.ndarray:
+def _unit_rows(d: int, n: int, rng, more: int = 0) -> np.ndarray:
     """n uniform unit rows in R^d, normalized in place.
 
     The norm is the one np.linalg.norm(v, axis=1) computes for real
@@ -317,7 +317,12 @@ def _unit_rows(d: int, n: int, rng: np.random.Generator, more: int = 0) -> np.nd
     rows still to come as more: one whole draw redraws only after all its
     rows are drawn, so a piece with an all-zero row draws those rows too
     before the redraw, and n + more rows come back.
+
+    rng is a generator or a _RowStream over one, which hands out the same
+    rows and leaves the generator where this function would.
     """
+    if isinstance(rng, _RowStream):
+        return rng.take(n, more)
     v = rng.standard_normal((n, d))
     norms = _row_norms(v)
     if more and np.count_nonzero(norms) < n:
@@ -330,6 +335,118 @@ def _unit_rows(d: int, n: int, rng: np.random.Generator, more: int = 0) -> np.nd
         norms = _row_norms(v)
     v /= norms[:, None]
     return v
+
+
+# A _RowStream draws this many elements' worth of rows at a time (32 KiB):
+# enough to spread a refill over about a hundred small takes, and small
+# enough that the block and its norm temporaries add little to a run's peak.
+_STREAM_BLOCK = 1 << 12
+
+
+class _RowStream:
+    """The unit rows in R^d of a generator that draws nothing else, drawn
+    and normalized a block at a time.
+
+    take(n, more) returns the rows _unit_rows(d, n, rng, more) returns and
+    leaves rng where that call leaves it.  Each take hands out the next
+    rows of one stream of standard normals, and standard_normal fills rows
+    in order, so drawing ahead moves no value; an all-zero row is replaced
+    by the next rows of the stream, round by round as _unit_rows replaces
+    it.  It saves the per-call draw and norm overhead of small takes.  A
+    stream whose draws interleave uniforms or integers with the normals
+    cannot draw ahead, so this class has no such method: a payload drawn
+    from it fails at once.
+
+    A block holds _STREAM_BLOCK elements' worth of rows (at least one),
+    each divided by its norm, or set to zeros when that norm is 0, which
+    is how the redraw finds it.  A refill moves the rows not yet taken to
+    the front of the block and draws the rest into it with
+    standard_normal(out=...).  A take that fits what is left of the block
+    and holds no zero row is a copy.  One that does not fit refills the
+    block when it is at most half a block; a larger one is the block's
+    remainder and a direct draw of the rest, since copying it out of a
+    block would cost more than the per-call overhead it saves.
+    """
+
+    __slots__ = ("d", "_rng", "_buf", "_size", "_pos", "_clean")
+
+    def __init__(self, rng: np.random.Generator, d: int) -> None:
+        self._size = max(1, _STREAM_BLOCK // d)
+        self.d, self._rng, self._buf = d, rng, np.empty((self._size, d))
+        # rows before _pos are taken; _clean is the first zero row at or after it
+        self._pos = self._clean = self._size
+
+    def take(self, n: int, more: int = 0) -> np.ndarray:
+        a = self._pos
+        if a + n > self._size and 2 * n <= self._size:
+            self._refill()
+            a = 0
+        b = a + n
+        if b <= self._clean:
+            self._pos = b
+            return self._buf[a:b].copy()
+        v, zero = self._rows(n)
+        if not zero:
+            return v
+        # _unit_rows's redraw rule, over the stream's rows
+        if more:
+            v = np.concatenate((v, self._rows(more)[0]))
+        while not (live := v.any(axis=1)).all():
+            v[~live] = self._rows(len(v) - np.count_nonzero(live))[0]
+        return v
+
+    def _rows(self, k: int) -> tuple[np.ndarray, bool]:
+        """The next k rows, as a new array, and whether they hold a zero row."""
+        a = self._pos
+        if a + k > self._size and 2 * k <= self._size:
+            self._refill()
+            a = 0
+        b = a + k
+        if b <= self._size:
+            self._pos = b
+            zero = b > self._clean
+            if zero:
+                zeros = np.flatnonzero(~self._buf[b:].any(axis=1))
+                self._clean = b + int(zeros[0]) if zeros.size else self._size
+            return self._buf[a:b].copy(), zero
+        v = np.empty((k, self.d))
+        left = self._size - a
+        v[:left] = self._buf[a:]
+        drawn_zero = self._draw(v[left:]) < k - left
+        # the remainder holds a zero row when _clean lies inside the block
+        zero = self._clean < self._size or drawn_zero
+        self._pos = self._clean = self._size
+        return v, zero
+
+    def _refill(self) -> None:
+        buf, a = self._buf, self._pos
+        k = self._size - a
+        buf[:k] = buf[a:]
+        first_zero = k + self._draw(buf[k:])
+        # a zero row among the rows moved comes first
+        self._clean = self._clean - a if self._clean < self._size else first_zero
+        self._pos = 0
+
+    def _draw(self, v: np.ndarray) -> int:
+        """Fill v with the generator's next rows as the block holds them;
+        the index of the first zero row in v, or len(v)."""
+        self._rng.standard_normal(out=v)
+        norms = _row_norms(v)
+        if norms.all():
+            v /= norms[:, None]
+            return len(v)
+        live = norms != 0.0
+        v[live] /= norms[live, None]
+        v[~live] = 0.0
+        return int(np.argmin(live))
+
+
+def _draws_unit_rows(spec: ObjectiveSpec) -> bool:
+    """Whether an estimate on spec draws only unit rows: directions, and a
+    payload that is none or the quadratic's scaled sphere rows (see
+    _sample_xi_batch), so that its stream may be a _RowStream."""
+    return spec.noise_kind == "none" or (spec.noise_kind == "additive-offset"
+                                         and spec.name == "quadratic-smooth")
 
 
 def _sphere_rows(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -389,7 +506,8 @@ def _F_rows(spec: ObjectiveSpec, X: np.ndarray, payload, sets: int = 1) -> np.nd
 
 
 # ---------------------------------------------------------------------------
-# argument checks: every module checks its numeric arguments with these two
+# argument checks: every module checks its numeric arguments with the first
+# two, and values computed from them with _square and _finite
 
 _REALS = (float, int, np.floating, np.integer)
 
@@ -414,6 +532,25 @@ def _check_real(name: str, v, lo_open: bool = True) -> float:
     if 0.0 < v < math.inf or v == 0.0 and not lo_open:
         return v
     raise ValueError(f"{name} must be {'positive' if lo_open else 'non-negative'} and finite")
+
+
+def _square(name: str, v: float) -> float:
+    """v * v for a checked v > 0; a square that underflows to 0 raises
+    ValueError, for callers that divide by it."""
+    sq = v * v
+    if sq == 0.0:
+        raise ValueError(f"{name} is too small: its square underflows to 0")
+    return sq
+
+
+def _finite(name: str, what: str, v: float) -> float:
+    """v, a value >= 0 computed from checked arguments, when it is finite;
+    one that overflows raises ValueError naming the argument that is too
+    small."""
+    try:
+        return _check_real(what, v, lo_open=False)
+    except ValueError:
+        raise ValueError(f"{name} is too small for the other arguments: {what} overflows") from None
 
 
 def _finite_point(spec: ObjectiveSpec, x: np.ndarray) -> np.ndarray:

@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .objectives import (ObjectiveSpec, _check_int, _check_real, _col_sums, _finite_point,
-                         _sample_xi_batch)
+from .objectives import (ObjectiveSpec, _check_int, _check_real, _col_sums, _finite,
+                         _finite_point, _sample_xi_batch, _square)
 from .smoothing import SmoothingParams, _g_delta_mean
 
 __all__ = [
@@ -66,9 +66,12 @@ class CostModel:
         self.log_k = _check_int("log_k", self.log_k, 0)
 
     def log_multiplier(self, sigma_hat: float) -> int:
+        """The log factor for accuracy sigma_hat > 0; a sigma_hat whose
+        inverse overflows raises ValueError."""
         if self.log_k == 0:
             return 1
-        base = max(1, math.ceil(math.log2(1.0 / sigma_hat)))
+        inv = _finite("sigma_hat", "1/sigma_hat", 1.0 / _check_real("sigma_hat", sigma_hat))
+        base = max(1, math.ceil(math.log2(inv)))
         return base**self.log_k
 
 
@@ -141,20 +144,28 @@ def quantum_mean_cost(
 
     L_hat bounds the per-sample deviation norm.  Quantum mode follows the
     mean-estimation rate sqrt(d) * L_hat / sigma_hat; classical mode is
-    the batch size L_hat^2 / sigma_hat^2.
+    the batch size L_hat^2 / sigma_hat^2.  A sigma_hat so small that the
+    count overflows (or its square underflows) raises ValueError.
     """
     sigma_hat = _check_real("sigma_hat", sigma_hat)
     d = _check_int("d", d, 1)
     L_hat = _check_real("L_hat", L_hat, lo_open=False)
     if model.mode == "quantum":
         return _quantum_count(model, model.c_q * math.sqrt(d) * L_hat / sigma_hat, sigma_hat)
-    return max(1, math.ceil(L_hat * L_hat / (sigma_hat * sigma_hat)))
+    return max(1, math.ceil(_finite("sigma_hat", "the classical charge",
+                                    L_hat * L_hat / _square("sigma_hat", sigma_hat))))
 
 
 def _quantum_count(model: CostModel, raw: float, sigma_hat: float) -> int:
     """The quantum charge for a rate of raw queries: at least one, rounded
-    up, times the log factor."""
-    return max(1, math.ceil(raw)) * model.log_multiplier(sigma_hat)
+    up, times the log factor.  An infinite rate raises ValueError naming
+    sigma_hat, the accuracy it was divided by."""
+    try:
+        count = max(1, math.ceil(raw))
+    except OverflowError:  # raw is inf
+        raise ValueError("sigma_hat is too small for the other arguments: "
+                         "the quantum charge overflows") from None
+    return count * model.log_multiplier(sigma_hat)
 
 
 def _diff_step(

@@ -51,12 +51,56 @@ def test_unwritable_output_exits_2_before_the_first_cell(command, config_path, t
         raise AssertionError("a cell ran before the output path was checked")
 
     monkeypatch.setattr(harness, "run_one", no_cell)
+    if command == "sweep":
+        # a grid the sweep accepts: its grid check comes before the output is opened
+        config_path.write_text(CONFIG.replace("eps = 0.4", "eps_grid = 0.4,0.2,0.1"))
     out_path = tmp_path / "missing" / "rows.csv"
     assert main([command, "--config", str(config_path), "--out", str(out_path)]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: cannot write output: ")
     assert captured.out == ""
     assert not out_path.parent.exists()
+
+
+def _no_cell(monkeypatch):
+    def no_cell(*args, **kwargs):
+        raise AssertionError("a cell ran before the config was checked")
+
+    monkeypatch.setattr(harness, "run_one", no_cell)
+
+
+@pytest.mark.parametrize("grid,message", [("0.4,0.2", "at least 3 distinct eps values"),
+                                          ("0.4,0.3,0.2", "span at least a 4x ratio")])
+def test_sweep_grid_checked_before_any_cell(grid, message, tmp_path, monkeypatch, capsys):
+    # the grid check used to run after every cell, leaving --out created and empty
+    _no_cell(monkeypatch)
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text(CONFIG.replace("eps = 0.4", f"eps_grid = {grid}"))
+    out_path = tmp_path / "rows.csv"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out_path)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("body,message", [
+    # eps = 2.0 fails at the second eps, after the first cell would have run
+    ("algorithm = qgfm_plus\nproblem = sawtooth\neps_grid = 0.4,2.0,0.1\n", "eps must not exceed L"),
+    ("algorithm = qgm_plus\nproblem = quadratic-smooth\nnoise_scale = 0.1\n"
+     "eps_grid = 0.05,0.2,0.01\n", "eps must not exceed sigma"),
+    ("algorithm = qgm_plus\nproblem = sawtooth\neps_grid = 0.4,0.2,0.1\n",
+     "no smooth gradient oracle"),
+])
+def test_schedules_derived_before_any_cell(command, body, message, tmp_path, monkeypatch,
+                                           capsys):
+    _no_cell(monkeypatch)
+    cfg = tmp_path / "sched.cfg"
+    cfg.write_text(body + "d = 2\ndelta = 0.3\nseeds = 0\n")
+    out_path = tmp_path / "rows.csv"
+    assert main([command, "--config", str(cfg), "--out", str(out_path)]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
+    assert not out_path.exists()
 
 
 def test_global_flags_accepted_on_both_sides(config_path, tmp_path, capsys):

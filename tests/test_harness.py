@@ -196,6 +196,20 @@ def test_scaling_sweep_grid_validation():
         scaling_sweep(small_config(eps_grid=(0.4, 0.2, 0.15)))
 
 
+def test_run_experiment_derives_every_schedule_first(monkeypatch):
+    # eps = 2.0 > L fails qgfm_plus's schedule: no cell may run before that is known
+    from qzopt import harness
+
+    def no_cell(*args, **kwargs):
+        raise AssertionError("a cell ran before every schedule was derived")
+
+    monkeypatch.setattr(harness, "run_one", no_cell)
+    with pytest.raises(ValueError, match="eps must not exceed L"):
+        run_experiment(small_config(algorithm="qgfm_plus", eps_grid=(0.4, 2.0, 0.2)))
+    with pytest.raises(ConfigError, match="4x"):
+        scaling_sweep(small_config(eps_grid=(0.4, 0.3, 0.2)))
+
+
 def test_scaling_sweep_on_precomputed_rows():
     cfg = small_config(eps_grid=(0.8, 0.4, 0.2), seeds=(0,))
     rows = run_experiment(cfg)

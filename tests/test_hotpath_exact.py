@@ -853,22 +853,30 @@ def test_streamed_directions_match_whole_chunk_draws(monkeypatch, problem, d, wi
 
 
 class _ZeroRowStream:
-    """Generator stub: values sin(1), sin(2), ... in draw order, with row `zero` of the
-    stream all zero; the count runs across calls, so a split draw gives the values one
-    whole draw does."""
+    """Generator stub: values sin(1), sin(2), ... in draw order, with the rows `zeros` of
+    the stream all zero; the count runs across calls, so a split draw gives the values one
+    whole draw does.  It draws a shape, or into out, as Generator.standard_normal does.
+    With fill, the rows hold that value instead: 1e-200 squares to 0, so its rows have
+    norm 0 without being zero."""
 
-    def __init__(self, d, zero):
-        self.d, self.zero, self.drawn, self.shapes = d, zero, 0, []
+    def __init__(self, d, *zeros, fill=0.0):
+        self.d, self.zeros, self.fill, self.drawn, self.shapes = d, zeros, fill, 0, []
 
-    def standard_normal(self, shape):
+    def standard_normal(self, shape=None, out=None):
+        if out is not None:
+            shape = out.shape
         self.shapes.append(shape)
         size = shape[0] * shape[1]
         v = np.sin(np.arange(self.drawn + 1.0, self.drawn + 1.0 + size))
-        a = self.zero * self.d - self.drawn  # draws hold whole rows
-        if 0 <= a < size:
-            v[a:a + self.d] = 0.0
+        for zero in self.zeros:
+            a = zero * self.d - self.drawn  # draws hold whole rows
+            if 0 <= a < size:
+                v[a:a + self.d] = self.fill
         self.drawn += size
-        return v.reshape(shape)
+        if out is None:
+            return v.reshape(shape)
+        out[...] = v.reshape(shape)
+        return out
 
 
 @pytest.mark.parametrize("block", [1, 3])

@@ -109,6 +109,27 @@ def test_quantum_mean_cost_formula():
             quantum_mean_cost(2.0, bad, 0.5, CostModel())
 
 
+@pytest.mark.parametrize("call", [
+    lambda: quantum_mean_cost(1.0, 8, 1e-310, CostModel()),
+    lambda: quantum_mean_cost(1.0, 8, 1e-310, CostModel(mode="classical")),
+    lambda: quantum_mean_cost(1.0, 8, 1e-170, CostModel(mode="classical")),
+    lambda: CostModel(log_k=1).log_multiplier(1e-310),
+])
+def test_tiny_sigma_hat_raises_value_error(call):
+    # these raised OverflowError or ZeroDivisionError: a count that overflows, or a
+    # square that underflows to 0, now names the accuracy that is too small
+    with pytest.raises(ValueError, match="^sigma_hat is too small"):
+        call()
+
+
+def test_log_multiplier_keeps_its_integers():
+    model = CostModel(log_k=2)
+    for s in (1e-300, 1e-9, 0.01, 0.25, 0.5, 0.51, 1.0, 3.0):
+        assert model.log_multiplier(s) == max(1, math.ceil(math.log2(1.0 / s))) ** 2
+    with pytest.raises(ValueError, match="sigma_hat must be positive"):
+        model.log_multiplier(0.0)
+
+
 def test_estimate_grad_charges_and_floor():
     spec = catalog_make("abs-linear", 4)
     led = QueryLedger()
