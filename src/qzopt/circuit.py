@@ -255,27 +255,42 @@ def pipeline_sample_batch(
     _pipeline_blocks' blocks, collected.
     """
     n = _check_int("n", n, 0)
-    xi, blocks = _pipeline_blocks(layout, n, rng)
+    xi_blocks, w_blocks = _pipeline_blocks(layout, n, rng)
+    xi = np.empty(n, dtype=np.int64 if layout.m1 <= 62 else object)
+    for start, stop, xi_block in xi_blocks:
+        xi[start:stop] = xi_block
     W = np.empty((n, layout.d))
     valid = np.empty(n, dtype=bool)
-    for start, stop, W_block, valid_block in blocks:
+    for start, stop, W_block, valid_block in w_blocks:
         W[start:stop], valid[start:stop] = W_block, valid_block
     return xi, W, valid
 
 
 def _pipeline_blocks(layout: RegisterLayout, n: int, rng: np.random.Generator):
-    """pipeline_sample_batch's draws as xi, drawn whole now, and a generator
-    of (start, stop, W[start:stop], valid[start:stop]).
+    """pipeline_sample_batch's draws as two generators, of
+    (start, stop, xi[start:stop]) and then of
+    (start, stop, W[start:stop], valid[start:stop]).
 
-    The generator draws and decodes the bit sums one _block_rows(d) block
-    of rows at a time: the binomial draws fill elements in order, so the
-    blocks hold the values one whole draw gives.  Read it to the end, and
-    before the next draw from rng, to leave the stream where one
-    pipeline_sample_batch call does.
+    Each draws one block of rows at a time, right before it is used: xi in
+    blocks of _block_rows(m1) rows, and the bit sums, decoded, in blocks of
+    _block_rows(d) rows.  Both draws fill elements in order, and the bit
+    generator keeps the spare half of a 64-bit word that a 32-bit integer
+    draw splits, so the blocks hold the values of one whole draw.  Read the
+    xi blocks to the end, then the w blocks, and both before the next draw
+    from rng, to leave the stream where one pipeline_sample_batch call does.
     """
-    xi = (rng.integers(0, 1 << layout.m1, size=n, dtype=np.int64) if layout.m1 <= 62
-          else _xi_from_bits(layout.m1, n, rng))
-    return xi, _w_blocks(layout, n, rng)
+    return _xi_blocks(layout.m1, n, rng), _w_blocks(layout, n, rng)
+
+
+def _xi_blocks(m1: int, n: int, rng: np.random.Generator):
+    # int64 values while they fit in 62 bits; bits packed into Python ints above that
+    step = _block_rows(m1)
+    for start in range(0, n, step):
+        stop = min(start + step, n)
+        if m1 <= 62:
+            yield start, stop, rng.integers(0, 1 << m1, size=stop - start, dtype=np.int64)
+        else:
+            yield start, stop, _xi_from_bits(rng.integers(0, 2, size=(stop - start, m1)))
 
 
 def _w_blocks(layout: RegisterLayout, n: int, rng: np.random.Generator):
@@ -286,23 +301,21 @@ def _w_blocks(layout: RegisterLayout, n: int, rng: np.random.Generator):
         yield (start, stop, *_w_from_sums(sums, layout.m2))
 
 
-def _xi_from_bits(m1: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n ints of m1 > 62 bits, as an object array: the bits are drawn one per
-    element, first bit most significant, in blocks of rows.  Each bit is one
-    draw whatever the block shape, so the values and the stream end are those
-    of one (n, m1) draw.  A block packs into 62-bit int64 words by a matvec
-    over powers of two; the words join as Python ints."""
+def _xi_from_bits(bits: np.ndarray) -> np.ndarray:
+    """The rows of a (k, m1) array of bits, m1 > 62, first bit most
+    significant, as an object array of k ints.  Each bit is one draw
+    whatever the block shape, so blocks of rows give the values and stream
+    end of one whole draw.  The bits pack into 62-bit int64 words by a
+    matvec over powers of two; the words join as Python ints."""
+    m1 = bits.shape[1]
     # column slices of the words, most significant first, with their place values
     words = [(slice(max(0, stop - 62), stop), 1 << np.arange(min(stop, 62) - 1, -1, -1))
              for stop in range(m1, 0, -62)][::-1]
-    xi = np.empty(n, dtype=object)
-    step = _block_rows(m1)
-    for start in range(0, n, step):
-        bits = rng.integers(0, 2, size=(min(step, n - start), m1))
-        vals = [0] * len(bits)
-        for cols, place in words:
-            vals = [(v << len(place)) | w for v, w in zip(vals, (bits[:, cols] @ place).tolist())]
-        xi[start:start + len(bits)] = vals
+    vals = [0] * len(bits)
+    for cols, place in words:
+        vals = [(v << len(place)) | w for v, w in zip(vals, (bits[:, cols] @ place).tolist())]
+    xi = np.empty(len(bits), dtype=object)
+    xi[:] = vals
     return xi
 
 

@@ -139,13 +139,19 @@ def _cmd_circuit_demo(args: argparse.Namespace) -> int:
         raise ConfigError("n must be positive")
     seed = args.seed if args.seed is not None else 0
     rng = substream(seed, "circuit-demo")
-    # the draws block by block: the valid last coordinates, in order, fill a
-    # prefix of last, and min and max of the valid rows' norms are exact
-    xi, blocks = _pipeline_blocks(layout, args.n, rng)
+    # the draws block by block: xi is counted a block at a time (past 1024 cells it
+    # is drawn only to keep the stream), the valid last coordinates, in order,
+    # fill a prefix of last, and min and max of the valid rows' norms are exact
+    xi_blocks, w_blocks = _pipeline_blocks(layout, args.n, rng)
+    cells = 1 << layout.m1
+    counts = np.zeros(cells, dtype=np.int64) if cells <= 1024 else None
+    for _, _, xi in xi_blocks:
+        if counts is not None:
+            counts += np.bincount(xi, minlength=cells)
     last = np.empty(args.n)
     n_valid = 0
     lo, hi = np.inf, -np.inf
-    for _, _, W, valid in blocks:
+    for _, _, W, valid in w_blocks:
         norms = _row_norms(W)[valid]
         if norms.size:
             lo, hi = min(lo, norms.min()), max(hi, norms.max())
@@ -165,9 +171,7 @@ def _cmd_circuit_demo(args: argparse.Namespace) -> int:
         from scipy import stats  # kstwo has no scipy.special kernel; only d = 3 loads stats
         ks = stats.kstest(last, stats.uniform(loc=-1.0, scale=2.0).cdf)
         print(f"KS w_3 vs uniform[-1,1]: D {ks.statistic:.4f} p {ks.pvalue:.4f}")
-    cells = 1 << layout.m1
-    if cells <= 1024:
-        counts = np.bincount(np.asarray(xi, dtype=np.int64), minlength=cells)
+    if counts is not None:
         stat, p = _chisquare(counts)
         print(f"xi uniformity chi2 over {cells} cells: stat {stat:.4f} p {p:.4f}")
     return 0

@@ -212,15 +212,23 @@ def sample_xi(spec: ObjectiveSpec, rng: np.random.Generator) -> XiSample:
     return XiSample(_sample_xi_batch(spec, 1, rng)[0] if spec.noise_kind != "none" else None)
 
 
-def _sample_xi_batch(spec: ObjectiveSpec, n: int, rng: np.random.Generator):
-    """Vectorized noise payloads: None or an array with leading dimension n."""
+def _sample_xi_batch(spec: ObjectiveSpec, n: int, rng: np.random.Generator, more: int = 0):
+    """Vectorized noise payloads: None or an array with leading dimension n.
+
+    A caller drawing one batch in pieces passes the rows still to come as
+    more.  Uniform offsets and coordinate indices come out the same in
+    pieces as whole (numpy fills them in order, and the bit generator keeps
+    the spare half of a 64-bit word that an integer draw splits), so more
+    only reaches the quadratic's sphere rows, which follow _unit_rows's
+    rule and may come back as n + more rows.
+    """
     if spec.noise_kind == "none":
         return None
     if spec.noise_kind == "component-subsample":
         return rng.integers(0, spec.d, size=n)
     # additive-offset
     if spec.name == "quadratic-smooth":
-        rows = _sphere_rows(spec.d, n, rng)
+        rows = _sphere_rows(spec.d, n, rng, more)
         rows *= spec.noise_scale
         return rows
     return rng.uniform(-spec.noise_scale, spec.noise_scale, size=n)
@@ -449,10 +457,10 @@ def _draws_unit_rows(spec: ObjectiveSpec) -> bool:
                                          and spec.name == "quadratic-smooth")
 
 
-def _sphere_rows(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
+def _sphere_rows(d: int, n: int, rng: np.random.Generator, more: int = 0) -> np.ndarray:
     # the quadratic's noise directions; a function of its own, apart from
     # smoothing._sphere_batch, so that profiles tell the two samplers apart
-    return _unit_rows(d, n, rng)
+    return _unit_rows(d, n, rng, more)
 
 
 # ---------------------------------------------------------------------------

@@ -163,9 +163,16 @@ def _quantum_count(model: CostModel, raw: float, sigma_hat: float) -> int:
     try:
         count = max(1, math.ceil(raw))
     except OverflowError:  # raw is inf
-        raise ValueError("sigma_hat is too small for the other arguments: "
-                         "the quantum charge overflows") from None
+        raise _too_small("the quantum charge") from None
     return count * model.log_multiplier(sigma_hat)
+
+
+def _too_small(what: str) -> ValueError:
+    """The error for a count divided by sigma_hat (or its square) that
+    overflows, or whose divisor underflows to 0.  The estimators work out
+    their counts inside a try before any draw or charge, so the hot path
+    pays nothing for the check."""
+    return ValueError(f"sigma_hat is too small for the other arguments: {what} overflows")
 
 
 def _diff_step(
@@ -211,10 +218,13 @@ def estimate_grad(
     sigma_hat = _check_real("sigma_hat", sigma_hat)
     x = _finite_point(spec, x)
     d, L = spec.d, spec.L
-    n = max(1, math.ceil(spec.est_var_coeff * d * L * L / (sigma_hat * sigma_hat)))
+    try:
+        n = max(1, math.ceil(spec.est_var_coeff * d * L * L / (sigma_hat * sigma_hat)))
+    except (ZeroDivisionError, OverflowError):
+        raise _too_small("the draw count") from None
+    quantum = 2 * quantum_mean_cost(math.sqrt(d) * L, d, sigma_hat, model)
     value = _g_delta_mean(spec, x, params.delta, n, rng)
-    charged = _charge(ledger, model, phase,
-                      2 * quantum_mean_cost(math.sqrt(d) * L, d, sigma_hat, model), 2 * n)
+    charged = _charge(ledger, model, phase, quantum, 2 * n)
     return GradEstimate(value, charged)
 
 
@@ -244,15 +254,15 @@ def estimate_grad_diff(
     x, y, _, dist = step
     sigma_hat = _check_real("sigma_hat", sigma_hat)
     d, L, delta = spec.d, spec.L, params.delta
-    n = max(
-        1,
-        math.ceil(
-            spec.diff_var_coeff * d * d * L * L * dist * dist / (delta * delta * sigma_hat * sigma_hat)
-        ),
-    )
-    value = _g_delta_mean(spec, x, delta, n, rng, y=y)
+    try:
+        n = max(1, math.ceil(spec.diff_var_coeff * d * d * L * L * dist * dist
+                             / (delta * delta * sigma_hat * sigma_hat)))
+    except (ZeroDivisionError, OverflowError):
+        raise _too_small("the draw count") from None
     raw = model.c_q * d ** 1.5 * L * dist / (sigma_hat * delta)
-    charged = _charge(ledger, model, phase, 4 * _quantum_count(model, raw, sigma_hat), 4 * n)
+    quantum = 4 * _quantum_count(model, raw, sigma_hat)
+    value = _g_delta_mean(spec, x, delta, n, rng, y=y)
+    charged = _charge(ledger, model, phase, quantum, 4 * n)
     return GradEstimate(value, charged)
 
 
@@ -271,13 +281,16 @@ def estimate_sgrad(
     sigma_hat = _check_real("sigma_hat", sigma_hat)
     x = _finite_point(spec, x)
     _, sigma = spec.smooth_params
-    n = max(1, math.ceil(sigma * sigma / (sigma_hat * sigma_hat)))
+    try:
+        n = max(1, math.ceil(sigma * sigma / (sigma_hat * sigma_hat)))
+    except (ZeroDivisionError, OverflowError):
+        raise _too_small("the draw count") from None
+    quantum = _quantum_count(model, model.c_q * math.sqrt(spec.d) * sigma / sigma_hat, sigma_hat)
     value = spec.lambdas * x
     if sigma > 0:
         payload = _sample_xi_batch(spec, n, rng)
         value = value + _col_sums(payload) / n
-    raw = model.c_q * math.sqrt(spec.d) * sigma / sigma_hat
-    charged = _charge(ledger, model, phase, _quantum_count(model, raw, sigma_hat), n, grad=True)
+    charged = _charge(ledger, model, phase, quantum, n, grad=True)
     return GradEstimate(value, charged)
 
 
@@ -308,8 +321,11 @@ def estimate_sgrad_diff(
     _, _, v, dist = step
     sigma_hat = _check_real("sigma_hat", sigma_hat)
     l, _ = spec.smooth_params
-    value = spec.lambdas * v
+    try:
+        classical = max(1, math.ceil(l * l * dist * dist / (sigma_hat * sigma_hat)))
+    except (ZeroDivisionError, OverflowError):
+        raise _too_small("the classical charge") from None
     raw = model.c_q * math.sqrt(spec.d) * l * dist / sigma_hat
-    charged = _charge(ledger, model, phase, _quantum_count(model, raw, sigma_hat),
-                      max(1, math.ceil(l * l * dist * dist / (sigma_hat * sigma_hat))), grad=True)
-    return GradEstimate(value, charged)
+    charged = _charge(ledger, model, phase, _quantum_count(model, raw, sigma_hat), classical,
+                      grad=True)
+    return GradEstimate(spec.lambdas * v, charged)

@@ -23,6 +23,7 @@ the sawtooth) or in "mc" mode (ball-sampling mean with a standard error).
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -172,9 +173,11 @@ def _g_delta_mean(
 
     Draw chunk: W and then the payload are drawn as if whole for each
     _CHUNK rows, so the streams do not depend on how the work is split
-    after that.  A noisy chunk draws them whole, since its payload follows
-    W in the stream; a noise-free chunk draws no payload and draws W block
-    by block, right before each block is evaluated (see _sphere_blocks).
+    after that.  A noisy chunk draws W whole, since its payload follows W
+    in the stream, and then its payload block by block, right before each
+    block is evaluated; a noise-free chunk draws no payload and draws W
+    block by block (see _drawn_blocks).  So a noisy chunk holds one
+    chunk-sized array, its W, and a noise-free chunk none.
     Compute block: a chunk longer than one block of objectives._BLOCK
     elements is evaluated over blocks of _block_rows(d) rows, a multiple of
     64, so that each block's point sets split into the same 4-row groups of
@@ -206,13 +209,14 @@ def _g_delta_mean(
         m = min(left, _CHUNK)
         bounds = _block_bounds(m, spec.d)
         if spec.noise_kind == "none":
-            blocks = _sphere_blocks(spec.d, bounds, rng)
+            W_blocks = _drawn_blocks(bounds, lambda k, more: _sphere_batch(spec.d, k, rng, more))
+            payloads = itertools.repeat(None)
         else:
             W = _sphere_batch(spec.d, m, rng)
-            payload = _sample_xi_batch(spec, m, rng)
-            blocks = ((W[a:b], payload[a:b]) for a, b in bounds)
+            W_blocks = (W[a:b] for a, b in bounds)
+            payloads = _drawn_blocks(bounds, lambda k, more: _sample_xi_batch(spec, k, rng, more))
         acc = acc_sq = None
-        for Wb, pb in blocks:
+        for Wb, pb in zip(W_blocks, payloads):
             diffs = _g_delta_rows(spec, x, delta, Wb, pb, y)
             if y is None and not want_se:
                 acc = _col_sums(Wb, diffs[0], acc)
@@ -251,24 +255,26 @@ def _block_bounds(m: int, d: int) -> list[tuple[int, int]]:
     return bounds
 
 
-def _sphere_blocks(d: int, bounds: list[tuple[int, int]], rng: np.random.Generator):
-    """(W, None) for each compute block of a noise-free chunk, W drawn
-    just before the block is used.
+def _drawn_blocks(bounds: list[tuple[int, int]], draw):
+    """draw's rows for each compute block of a chunk, each block drawn just
+    before it is used.
 
-    standard_normal fills rows in order, so the blocks hold the rows of one
-    _sphere_batch over the chunk and leave the stream where it does.  That
-    draw redraws all-zero rows only once the whole chunk is drawn, so a
-    block holding one draws the rest of the chunk with it (see _unit_rows);
-    the remainder is then served from that one array.
+    draw(k, more) gives the next k rows of one whole-chunk draw, taking the
+    rows still to come as more, as _unit_rows does: numpy fills rows in
+    order, so the blocks hold the rows of one draw over the chunk and leave
+    the stream where it does.  That draw redraws all-zero sphere rows only
+    once the whole chunk is drawn, so a block holding one draws the rest of
+    the chunk with it, as k + more rows; the remainder is then served from
+    that one array.
     """
     m = bounds[-1][1]
     for i, (start, stop) in enumerate(bounds):
-        W = _sphere_batch(d, stop - start, rng, m - stop)
-        if W.shape[0] == stop - start:
-            yield W, None
+        v = draw(stop - start, m - stop)
+        if len(v) == stop - start:
+            yield v
             continue
         for a, b in bounds[i:]:
-            yield W[a - start:b - start], None
+            yield v[a - start:b - start]
         return
 
 

@@ -260,14 +260,15 @@ def test_circuit_demo_wide_even_register(capsys):
 
 
 def test_circuit_demo_peak_memory(capsys):
-    # the bit sums are drawn and decoded block by block and no n x d array is built:
-    # the demo holds xi, the valid last coordinates and one temporary of their length
+    # xi is drawn and counted, and the bit sums drawn and decoded, block by block, so
+    # no n x d array and no n-long xi is built: the demo holds the valid last
+    # coordinates and one temporary of their length (for their variance)
     args = ["circuit-demo", "--m1", "8", "--m2", "256", "--d", "8", "--seed", "1", "--n"]
     assert main(args + ["100"]) == 0  # imports scipy.special outside the measured call
     n, d = 200_000, 8
     peak = _peak_bytes(lambda: main(args + [str(n)]))
     assert "||w|| on valid samples" in capsys.readouterr().out
-    assert peak < 3 * n * 8 + 2 * 2**20 < n * d * 8
+    assert peak < 2 * n * 8 + 2**20 < n * d * 8
 
 
 def test_circuit_demo_bad_n(capsys):

@@ -808,17 +808,18 @@ def test_sphere_samplers_redraw_zero_rows(sampler):
     assert np.array_equal(W[1:], first[1:] / np.linalg.norm(first[1:], axis=1)[:, None])
 
 
-def _whole_chunk_blocks(d, bounds, rng):
-    """Reference for smoothing._sphere_blocks: the chunk's directions drawn whole, then sliced."""
-    W = smoothing._sphere_batch(d, bounds[-1][1], rng)
-    return [(W[a:b], None) for a, b in bounds]
+def _whole_chunk_blocks(bounds, draw):
+    """Reference for smoothing._drawn_blocks: the chunk's rows drawn whole, then sliced."""
+    v = draw(bounds[-1][1], 0)
+    return [v[a:b] for a, b in bounds]
 
 
 def _streamed_and_whole(monkeypatch, call):
-    """call() as the code runs it and with each noise-free chunk's directions drawn whole."""
+    """call() as the code runs it and with each chunk's directions (noise-free) or
+    payload (noisy) drawn whole."""
     streamed = call()
     with monkeypatch.context() as mp:
-        mp.setattr(smoothing, "_sphere_blocks", _whole_chunk_blocks)
+        mp.setattr(smoothing, "_drawn_blocks", _whole_chunk_blocks)
         whole = call()
     return streamed, whole
 
@@ -943,10 +944,14 @@ def test_pipeline_blocks_concatenate_to_the_batch(m1, m2):
     n = 10_001
     step = objectives._block_rows(layout.d)
     rng = substream(21, "pipeline-blocks", m1, m2)
-    xi, blocks = _pipeline_blocks(layout, n, rng)
-    blocks = list(blocks)
+    xi_blocks, blocks = _pipeline_blocks(layout, n, rng)
+    xi_blocks, blocks = list(xi_blocks), list(blocks)
+    xi_step = objectives._block_rows(m1)
+    assert [(start, stop) for start, stop, _ in xi_blocks] == [
+        (start, min(start + xi_step, n)) for start in range(0, n, xi_step)]
     assert [(start, stop) for start, stop, _, _ in blocks] == [
         (start, min(start + step, n)) for start in range(0, n, step)]
+    xi = np.concatenate([b[2] for b in xi_blocks])
     W = np.concatenate([b[2] for b in blocks])
     valid = np.concatenate([b[3] for b in blocks])
     got = (xi.dtype, xi.tolist(), _hex(W), valid.tobytes(), _hex(rng.standard_normal()))

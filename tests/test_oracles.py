@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -120,6 +121,43 @@ def test_tiny_sigma_hat_raises_value_error(call):
     # square that underflows to 0, now names the accuracy that is too small
     with pytest.raises(ValueError, match="^sigma_hat is too small"):
         call()
+
+
+def _estimator_calls(spec):
+    """Each estimator that spec supports, as call(sigma_hat, model, rng, ledger)."""
+    x, y, params = np.array([0.1, 0.2]), np.array([0.1, 0.3]), SmoothingParams(0.1)
+    calls = {
+        "estimate_grad": lambda s, m, r, led: estimate_grad(spec, x, params, s, m, r, led),
+        "estimate_grad_diff":
+            lambda s, m, r, led: estimate_grad_diff(spec, x, y, params, s, m, r, led),
+    }
+    if spec.smooth_params is not None:
+        calls["estimate_sgrad"] = lambda s, m, r, led: estimate_sgrad(spec, x, s, m, r, led)
+        calls["estimate_sgrad_diff"] = (
+            lambda s, m, r, led: estimate_sgrad_diff(spec, x, y, s, m, r, led))
+    return calls
+
+
+@pytest.mark.parametrize("mode", ["quantum", "classical"])
+@pytest.mark.parametrize("sigma_hat", [1e-170, 1e-160])
+@pytest.mark.parametrize("problem", ["sawtooth", "quadratic-smooth"])
+def test_estimators_reject_tiny_sigma_hat_before_drawing(problem, sigma_hat, mode):
+    # a draw count over sigma_hat^2 raised ZeroDivisionError (1e-170 squares to 0) or
+    # OverflowError (1e-160 squares to a subnormal); now each estimator raises the
+    # ValueError of quantum_mean_cost before it draws or charges anything
+    spec = catalog_make(problem, 2, 0.5)
+    calls = _estimator_calls(spec)
+    assert len(calls) == (4 if problem == "quadratic-smooth" else 2)
+    for i, (name, call) in enumerate(calls.items()):
+        rng = substream(40, "tiny-sigma", i)
+        state = rng.bit_generator.state
+        ledger = QueryLedger()
+        ledger.charge(uf=3, classical=5, grad=7, phase="earlier")
+        before = copy.deepcopy(ledger)
+        with pytest.raises(ValueError, match="^sigma_hat is too small"):
+            call(sigma_hat, CostModel(mode=mode), rng, ledger)
+        assert rng.bit_generator.state == state, name
+        assert ledger == before, name
 
 
 def test_log_multiplier_keeps_its_integers():

@@ -119,7 +119,7 @@ def test_small_takes_are_copies_of_the_block(monkeypatch):
 
 def test_run_with_a_more_take_matches_the_plain_generator(monkeypatch):
     # noise-free sawtooth d=8 at eps = 0.05: each refresh draws n = 6,400 rows, more than
-    # one compute block, so smoothing._sphere_blocks takes its first block with more > 0
+    # one compute block, so smoothing._drawn_blocks takes its first block with more > 0
     spec = catalog_make("sawtooth", 8)
     params = derive_params_qgfm(8, spec.L, 0.3, 0.05, spec.delta_0)
     start = substream(32, "more-run-x").uniform(-0.5, 0.5, 8)

@@ -182,6 +182,18 @@ def test_g_delta_mean_peak_memory():
     assert peak < n * spec.d * 8 + 4 * 2**20
 
 
+def test_noisy_payload_peak_memory():
+    # a noisy chunk draws its directions whole and its payload block by block, so the
+    # quadratic's n x d noise rows are never built whole: W is the one chunk-sized array
+    spec = catalog_make("quadratic-smooth", 256, 0.5)
+    n = 20_000
+    x = np.full(256, 0.05)
+    peak = _peak_bytes(
+        lambda: sm_mod._g_delta_mean(spec, x, 0.3, n, substream(18, "payload-peak"),
+                                     want_se=True))
+    assert peak < n * spec.d * 8 + 4 * 2**20
+
+
 def test_noise_free_g_delta_mean_peak_memory():
     # a noise-free chunk draws its directions block by block, so no n x d array is built
     # (the whole-chunk draw alone is n * d * 8 = 156 MiB here)
