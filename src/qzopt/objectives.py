@@ -137,8 +137,13 @@ def catalog_make(
 
     noise_kind defaults to "additive-offset" when noise_scale > 0 and
     "none" otherwise.  ``direction`` overrides the kink normal of
-    abs-linear (it is normalized; default (1,...,1)/sqrt(d)).
+    abs-linear (it is normalized; default (1,...,1)/sqrt(d)); given to any
+    other problem it raises ValueError.
     """
+    if name not in CATALOG_NAMES:
+        raise ValueError(f"unknown catalog problem {name!r}")
+    if direction is not None and name != "abs-linear":
+        raise ValueError(f"direction is only defined for abs-linear, not {name}")
     d = _check_int("d", d, 1)
     noise_scale = _check_real("noise_scale", noise_scale, lo_open=False)
     if noise_kind is None:
@@ -175,7 +180,7 @@ def catalog_make(
             delta_0=0.5 * math.sqrt(d),
             x0=np.full(d, 0.5),
         )
-    elif name == "quadratic-smooth":
+    else:  # quadratic-smooth
         lam = np.linspace(1.0, 2.0, d)
         lmax = float(lam.max())
         own = dict(
@@ -187,8 +192,6 @@ def catalog_make(
             lambdas=lam,
             domain_radius=QUADRATIC_DOMAIN_RADIUS,
         )
-    else:
-        raise ValueError(f"unknown catalog problem {name!r}")
     # the fields every entry shares, with the certified variance constants of
     # the module docstring; an entry's own fields override them
     shared = dict(
@@ -212,15 +215,13 @@ def sample_xi(spec: ObjectiveSpec, rng: np.random.Generator) -> XiSample:
     return XiSample(_sample_xi_batch(spec, 1, rng)[0] if spec.noise_kind != "none" else None)
 
 
-def _sample_xi_batch(spec: ObjectiveSpec, n: int, rng: np.random.Generator, more: int = 0):
+def _sample_xi_batch(spec: ObjectiveSpec, n: int, rng: np.random.Generator):
     """Vectorized noise payloads: None or an array with leading dimension n.
 
-    A caller drawing one batch in pieces passes the rows still to come as
-    more.  Uniform offsets and coordinate indices come out the same in
-    pieces as whole (numpy fills them in order, and the bit generator keeps
-    the spare half of a 64-bit word that an integer draw splits), so more
-    only reaches the quadratic's sphere rows, which follow _unit_rows's
-    rule and may come back as n + more rows.
+    A batch drawn in pieces is the batch drawn whole: numpy fills uniform
+    offsets and coordinate indices in order, the bit generator keeps the
+    spare half of a 64-bit word that an integer draw splits, and the
+    quadratic's sphere rows follow _unit_rows's rule.
     """
     if spec.noise_kind == "none":
         return None
@@ -228,7 +229,7 @@ def _sample_xi_batch(spec: ObjectiveSpec, n: int, rng: np.random.Generator, more
         return rng.integers(0, spec.d, size=n)
     # additive-offset
     if spec.name == "quadratic-smooth":
-        rows = _sphere_rows(spec.d, n, rng, more)
+        rows = _sphere_rows(spec.d, n, rng)
         rows *= spec.noise_scale
         return rows
     return rng.uniform(-spec.noise_scale, spec.noise_scale, size=n)
@@ -315,33 +316,30 @@ def _row_norms(v: np.ndarray) -> np.ndarray:
     return norms
 
 
-def _unit_rows(d: int, n: int, rng, more: int = 0) -> np.ndarray:
-    """n uniform unit rows in R^d, normalized in place.
-
-    The norm is the one np.linalg.norm(v, axis=1) computes for real
-    input, sqrt of the row sums of v*v, so the rows are bit-identical to
-    v / np.linalg.norm(v, axis=1)[:, None].  All-zero rows (probability
-    zero) are redrawn.  A caller drawing one batch in pieces passes the
-    rows still to come as more: one whole draw redraws only after all its
-    rows are drawn, so a piece with an all-zero row draws those rows too
-    before the redraw, and n + more rows come back.
-
-    rng is a generator or a _RowStream over one, which hands out the same
-    rows and leaves the generator where this function would.
-    """
+def _unit_rows(d: int, n: int, rng) -> np.ndarray:
+    """n uniform unit rows in R^d: the generator's next n rows of standard
+    normals of non-zero norm, each divided by its norm (as
+    np.linalg.norm(v, axis=1) computes it).  A row of norm 0 (probability
+    about 2^-52d) is skipped, as sample_sphere skips it, so a batch drawn in
+    pieces is the batch drawn whole.  rng may be a _RowStream over a
+    generator instead, with the same rows and the same generator end."""
     if isinstance(rng, _RowStream):
-        return rng.take(n, more)
-    v = rng.standard_normal((n, d))
+        return rng.take(n)
+    return _normalized(rng.standard_normal((n, d)), rng)
+
+
+def _normalized(v: np.ndarray, rng) -> np.ndarray:
+    """v, rows rng just drew, as _unit_rows's rows, in place: each row is
+    divided by its norm, and a row of norm 0 is dropped, the rows after it
+    move up and rng's next rows fill the end."""
     norms = _row_norms(v)
-    if more and np.count_nonzero(norms) < n:
-        v = np.concatenate((v, rng.standard_normal((more, d))))
-        norms = _row_norms(v)
-        n += more
-    while np.count_nonzero(norms) < n:
-        bad = norms == 0.0
-        v[bad] = rng.standard_normal((int(bad.sum()), d))
-        norms = _row_norms(v)
-    v /= norms[:, None]
+    k = np.count_nonzero(norms)
+    if k == len(v):
+        v /= norms[:, None]
+        return v
+    live = norms != 0.0
+    v[:k] = v[live] / norms[live, None]
+    _normalized(rng.standard_normal(out=v[k:]), rng)
     return v
 
 
@@ -353,100 +351,45 @@ _STREAM_BLOCK = 1 << 12
 
 class _RowStream:
     """The unit rows in R^d of a generator that draws nothing else, drawn
-    and normalized a block at a time.
+    and normalized a block of _STREAM_BLOCK elements (at least one row) at a
+    time, which saves the per-call draw and norm overhead of small takes.
 
-    take(n, more) returns the rows _unit_rows(d, n, rng, more) returns and
-    leaves rng where that call leaves it.  Each take hands out the next
-    rows of one stream of standard normals, and standard_normal fills rows
-    in order, so drawing ahead moves no value; an all-zero row is replaced
-    by the next rows of the stream, round by round as _unit_rows replaces
-    it.  It saves the per-call draw and norm overhead of small takes.  A
-    stream whose draws interleave uniforms or integers with the normals
+    take(n) returns the rows _unit_rows(d, n, rng) returns and leaves rng
+    where that call leaves it: those are the stream's rows of non-zero norm
+    in order, so drawing ahead moves no value.  A take that fits what is
+    left of the block (the rows from _pos on) is a copy.  One that does not
+    refills the block when it is at most half a block: the rows not yet
+    taken move to the front and the next unit rows fill the rest.  A
+    larger one is the block's remainder and a direct draw of the rest, since
+    copying it out of a block would cost more than the overhead it saves.
+    A stream whose draws interleave uniforms or integers with the normals
     cannot draw ahead, so this class has no such method: a payload drawn
     from it fails at once.
-
-    A block holds _STREAM_BLOCK elements' worth of rows (at least one),
-    each divided by its norm, or set to zeros when that norm is 0, which
-    is how the redraw finds it.  A refill moves the rows not yet taken to
-    the front of the block and draws the rest into it with
-    standard_normal(out=...).  A take that fits what is left of the block
-    and holds no zero row is a copy.  One that does not fit refills the
-    block when it is at most half a block; a larger one is the block's
-    remainder and a direct draw of the rest, since copying it out of a
-    block would cost more than the per-call overhead it saves.
     """
 
-    __slots__ = ("d", "_rng", "_buf", "_size", "_pos", "_clean")
+    __slots__ = ("d", "_rng", "_buf", "_pos")
 
     def __init__(self, rng: np.random.Generator, d: int) -> None:
-        self._size = max(1, _STREAM_BLOCK // d)
-        self.d, self._rng, self._buf = d, rng, np.empty((self._size, d))
-        # rows before _pos are taken; _clean is the first zero row at or after it
-        self._pos = self._clean = self._size
+        self.d, self._rng, self._buf = d, rng, np.empty((max(1, _STREAM_BLOCK // d), d))
+        self._pos = len(self._buf)
 
-    def take(self, n: int, more: int = 0) -> np.ndarray:
-        a = self._pos
-        if a + n > self._size and 2 * n <= self._size:
-            self._refill()
-            a = 0
-        b = a + n
-        if b <= self._clean:
-            self._pos = b
-            return self._buf[a:b].copy()
-        v, zero = self._rows(n)
-        if not zero:
-            return v
-        # _unit_rows's redraw rule, over the stream's rows
-        if more:
-            v = np.concatenate((v, self._rows(more)[0]))
-        while not (live := v.any(axis=1)).all():
-            v[~live] = self._rows(len(v) - np.count_nonzero(live))[0]
-        return v
-
-    def _rows(self, k: int) -> tuple[np.ndarray, bool]:
-        """The next k rows, as a new array, and whether they hold a zero row."""
-        a = self._pos
-        if a + k > self._size and 2 * k <= self._size:
-            self._refill()
-            a = 0
-        b = a + k
-        if b <= self._size:
-            self._pos = b
-            zero = b > self._clean
-            if zero:
-                zeros = np.flatnonzero(~self._buf[b:].any(axis=1))
-                self._clean = b + int(zeros[0]) if zeros.size else self._size
-            return self._buf[a:b].copy(), zero
-        v = np.empty((k, self.d))
-        left = self._size - a
-        v[:left] = self._buf[a:]
-        drawn_zero = self._draw(v[left:]) < k - left
-        # the remainder holds a zero row when _clean lies inside the block
-        zero = self._clean < self._size or drawn_zero
-        self._pos = self._clean = self._size
-        return v, zero
-
-    def _refill(self) -> None:
+    def take(self, n: int) -> np.ndarray:
         buf, a = self._buf, self._pos
-        k = self._size - a
-        buf[:k] = buf[a:]
-        first_zero = k + self._draw(buf[k:])
-        # a zero row among the rows moved comes first
-        self._clean = self._clean - a if self._clean < self._size else first_zero
-        self._pos = 0
-
-    def _draw(self, v: np.ndarray) -> int:
-        """Fill v with the generator's next rows as the block holds them;
-        the index of the first zero row in v, or len(v)."""
-        self._rng.standard_normal(out=v)
-        norms = _row_norms(v)
-        if norms.all():
-            v /= norms[:, None]
-            return len(v)
-        live = norms != 0.0
-        v[live] /= norms[live, None]
-        v[~live] = 0.0
-        return int(np.argmin(live))
+        size = len(buf)
+        if a + n <= size:
+            self._pos = a + n
+            return buf[a:a + n].copy()
+        left = size - a
+        if 2 * n <= size:
+            buf[:left] = buf[a:]
+            _normalized(self._rng.standard_normal(out=buf[left:]), self._rng)
+            self._pos = n
+            return buf[:n].copy()
+        v = np.empty((n, self.d))
+        v[:left] = buf[a:]
+        _normalized(self._rng.standard_normal(out=v[left:]), self._rng)
+        self._pos = size
+        return v
 
 
 def _draws_unit_rows(spec: ObjectiveSpec) -> bool:
@@ -457,10 +400,10 @@ def _draws_unit_rows(spec: ObjectiveSpec) -> bool:
                                          and spec.name == "quadratic-smooth")
 
 
-def _sphere_rows(d: int, n: int, rng: np.random.Generator, more: int = 0) -> np.ndarray:
+def _sphere_rows(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
     # the quadratic's noise directions; a function of its own, apart from
     # smoothing._sphere_batch, so that profiles tell the two samplers apart
-    return _unit_rows(d, n, rng, more)
+    return _unit_rows(d, n, rng)
 
 
 # ---------------------------------------------------------------------------

@@ -84,8 +84,8 @@ def sample_sphere(d: int, rng: np.random.Generator) -> np.ndarray:
             return v / n
 
 
-def _sphere_batch(d: int, n: int, rng: np.random.Generator, more: int = 0) -> np.ndarray:
-    return _unit_rows(d, n, rng, more)
+def _sphere_batch(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    return _unit_rows(d, n, rng)
 
 
 def g_delta(
@@ -171,13 +171,13 @@ def _g_delta_mean(
     """Mean of n fresh two-point estimates; optional per-coordinate SE.
     With y, of the shared-draw differences g_delta(x; w, xi) - g_delta(y; w, xi).
 
-    Draw chunk: W and then the payload are drawn as if whole for each
-    _CHUNK rows, so the streams do not depend on how the work is split
-    after that.  A noisy chunk draws W whole, since its payload follows W
-    in the stream, and then its payload block by block, right before each
-    block is evaluated; a noise-free chunk draws no payload and draws W
-    block by block (see _drawn_blocks).  So a noisy chunk holds one
-    chunk-sized array, its W, and a noise-free chunk none.
+    Draw chunk: each _CHUNK rows draw W and then the payload, and every
+    sampler gives the same rows in pieces as whole (a sphere row is the
+    stream's next row of non-zero norm: objectives._unit_rows), so how a
+    chunk splits into blocks moves no draw.  A noisy chunk draws W whole,
+    since its payload follows W in the stream, then its payload block by
+    block, right before each block is evaluated; a noise-free chunk draws W
+    block by block.  So a noisy chunk holds one chunk-sized array, its W.
     Compute block: a chunk longer than one block of objectives._BLOCK
     elements is evaluated over blocks of _block_rows(d) rows, a multiple of
     64, so that each block's point sets split into the same 4-row groups of
@@ -209,12 +209,12 @@ def _g_delta_mean(
         m = min(left, _CHUNK)
         bounds = _block_bounds(m, spec.d)
         if spec.noise_kind == "none":
-            W_blocks = _drawn_blocks(bounds, lambda k, more: _sphere_batch(spec.d, k, rng, more))
+            W_blocks = (_sphere_batch(spec.d, b - a, rng) for a, b in bounds)
             payloads = itertools.repeat(None)
         else:
             W = _sphere_batch(spec.d, m, rng)
             W_blocks = (W[a:b] for a, b in bounds)
-            payloads = _drawn_blocks(bounds, lambda k, more: _sample_xi_batch(spec, k, rng, more))
+            payloads = (_sample_xi_batch(spec, b - a, rng) for a, b in bounds)
         acc = acc_sq = None
         for Wb, pb in zip(W_blocks, payloads):
             diffs = _g_delta_rows(spec, x, delta, Wb, pb, y)
@@ -253,29 +253,6 @@ def _block_bounds(m: int, d: int) -> list[tuple[int, int]]:
         bounds.append((start, stop))
         start = stop
     return bounds
-
-
-def _drawn_blocks(bounds: list[tuple[int, int]], draw):
-    """draw's rows for each compute block of a chunk, each block drawn just
-    before it is used.
-
-    draw(k, more) gives the next k rows of one whole-chunk draw, taking the
-    rows still to come as more, as _unit_rows does: numpy fills rows in
-    order, so the blocks hold the rows of one draw over the chunk and leave
-    the stream where it does.  That draw redraws all-zero sphere rows only
-    once the whole chunk is drawn, so a block holding one draws the rest of
-    the chunk with it, as k + more rows; the remainder is then served from
-    that one array.
-    """
-    m = bounds[-1][1]
-    for i, (start, stop) in enumerate(bounds):
-        v = draw(stop - start, m - stop)
-        if len(v) == stop - start:
-            yield v
-            continue
-        for a, b in bounds[i:]:
-            yield v[a - start:b - start]
-        return
 
 
 # ---------------------------------------------------------------------------

@@ -783,43 +783,49 @@ def test_estimator_bytes_do_not_depend_on_blas_threads():
     assert out[0] == out[1]
 
 
-class _ZeroFirstRow:
-    """Generator stub: the first batch has an all-zero row 0, later batches are ones."""
+class _ZeroRowStream:
+    """Generator stub: values sin(1), sin(2), ... in draw order, with the rows `zeros` of
+    the stream all zero; the count runs across calls, so a split draw gives the values one
+    whole draw does.  It draws a shape (a row of d, or rows of d), or into out, as
+    Generator.standard_normal does.  With fill, the rows hold that value instead: 1e-200
+    squares to 0, so its rows have norm 0 without being zero."""
 
-    def __init__(self):
-        self.shapes = []
+    def __init__(self, d, *zeros, fill=0.0):
+        self.d, self.zeros, self.fill, self.drawn, self.shapes = d, zeros, fill, 0, []
 
-    def standard_normal(self, shape):
+    def standard_normal(self, shape=None, out=None):
+        if out is not None:
+            shape = out.shape
         self.shapes.append(shape)
-        if len(self.shapes) == 1:
-            v = np.arange(1.0, 1.0 + shape[0] * shape[1]).reshape(shape)
-            v[0] = 0.0
-            return v
-        return np.ones(shape)
+        size = int(np.prod(shape))
+        v = np.sin(np.arange(self.drawn + 1.0, self.drawn + 1.0 + size))
+        for zero in self.zeros:
+            a = zero * self.d - self.drawn  # draws hold whole rows
+            if 0 <= a < size:
+                v[a:a + self.d] = self.fill
+        self.drawn += size
+        if out is None:
+            return v.reshape(shape)
+        out[...] = v.reshape(shape)
+        return out
 
 
 @pytest.mark.parametrize("sampler", [smoothing._sphere_batch, objectives._sphere_rows])
-def test_sphere_samplers_redraw_zero_rows(sampler):
-    stub = _ZeroFirstRow()
+def test_sphere_samplers_skip_zero_rows(sampler):
+    # a zero row is dropped, the rows after it move up and one more row fills the end
+    stub = _ZeroRowStream(3, 0)
     W = sampler(3, 4, stub)
     assert stub.shapes == [(4, 3), (1, 3)]
-    assert np.array_equal(W[0], np.full(3, 1.0 / np.sqrt(3.0)))
-    first = np.arange(1.0, 13.0).reshape(4, 3)
-    assert np.array_equal(W[1:], first[1:] / np.linalg.norm(first[1:], axis=1)[:, None])
-
-
-def _whole_chunk_blocks(bounds, draw):
-    """Reference for smoothing._drawn_blocks: the chunk's rows drawn whole, then sliced."""
-    v = draw(bounds[-1][1], 0)
-    return [v[a:b] for a, b in bounds]
+    rows = np.sin(np.arange(4.0, 16.0)).reshape(4, 3)
+    assert np.array_equal(W, rows / np.linalg.norm(rows, axis=1)[:, None])
 
 
 def _streamed_and_whole(monkeypatch, call):
-    """call() as the code runs it and with each chunk's directions (noise-free) or
-    payload (noisy) drawn whole."""
+    """call() as the code runs it and with each draw chunk evaluated as one compute block,
+    which draws its directions (noise-free) or payload (noisy) whole."""
     streamed = call()
     with monkeypatch.context() as mp:
-        mp.setattr(smoothing, "_drawn_blocks", _whole_chunk_blocks)
+        mp.setattr(smoothing, "_block_bounds", lambda m, d: [(0, m)])
         whole = call()
     return streamed, whole
 
@@ -853,37 +859,10 @@ def test_streamed_directions_match_whole_chunk_draws(monkeypatch, problem, d, wi
     assert streamed == whole
 
 
-class _ZeroRowStream:
-    """Generator stub: values sin(1), sin(2), ... in draw order, with the rows `zeros` of
-    the stream all zero; the count runs across calls, so a split draw gives the values one
-    whole draw does.  It draws a shape, or into out, as Generator.standard_normal does.
-    With fill, the rows hold that value instead: 1e-200 squares to 0, so its rows have
-    norm 0 without being zero."""
-
-    def __init__(self, d, *zeros, fill=0.0):
-        self.d, self.zeros, self.fill, self.drawn, self.shapes = d, zeros, fill, 0, []
-
-    def standard_normal(self, shape=None, out=None):
-        if out is not None:
-            shape = out.shape
-        self.shapes.append(shape)
-        size = shape[0] * shape[1]
-        v = np.sin(np.arange(self.drawn + 1.0, self.drawn + 1.0 + size))
-        for zero in self.zeros:
-            a = zero * self.d - self.drawn  # draws hold whole rows
-            if 0 <= a < size:
-                v[a:a + self.d] = self.fill
-        self.drawn += size
-        if out is None:
-            return v.reshape(shape)
-        out[...] = v.reshape(shape)
-        return out
-
-
 @pytest.mark.parametrize("block", [1, 3])
-def test_streamed_zero_row_redraw_matches_whole_chunk(monkeypatch, block):
-    # a zero row in the second block draws the rest of the chunk before its redraw; one in
-    # the last block is redrawn there, as the whole-chunk draw would
+def test_streamed_zero_rows_are_skipped_as_in_the_whole_chunk(monkeypatch, block):
+    # a zero row in the second block, or in the last, is skipped in its own block, which
+    # draws one row more right after its draw; the blocks after it take the rows after that
     d = 64
     step = objectives._block_rows(d)
     m = 3 * step + 40
@@ -899,10 +878,8 @@ def test_streamed_zero_row_redraw_matches_whole_chunk(monkeypatch, block):
     streamed, whole = _streamed_and_whole(monkeypatch, call)
     assert streamed == whole
     assert stubs[1].shapes == [(m, d), (1, d)]
-    if block == 1:
-        assert stubs[0].shapes == [(step, d), (step, d), (m - 2 * step, d), (1, d)]
-    else:
-        assert stubs[0].shapes == [(step, d)] * 3 + [(m - 3 * step, d), (1, d)]
+    blocks = [(step, d)] * 3 + [(m - 3 * step, d)]
+    assert stubs[0].shapes == blocks[:block + 1] + [(1, d)] + blocks[block + 1:]
 
 
 def _pipeline_batch_whole(layout, n, rng):

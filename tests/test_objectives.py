@@ -83,6 +83,14 @@ def test_catalog_rejects_bad_args():
             catalog_make("abs-linear", 2, direction=np.array(bad))
     with pytest.raises(ValueError):
         catalog_make("abs-linear", 2, noise_scale=0.1, noise_kind="component-subsample")
+    # an unknown name used to be reported as a noise-kind mismatch
+    with pytest.raises(ValueError, match="unknown catalog problem 'nope'"):
+        catalog_make("nope", 2, 0.5, "component-subsample")
+    # a direction used to be dropped silently by every problem but abs-linear
+    for name in CATALOG_NAMES:
+        if name != "abs-linear":
+            with pytest.raises(ValueError, match="direction is only defined for abs-linear"):
+                catalog_make(name, 2, direction=np.array([1.0, 0.0]))
     with pytest.raises(ValueError):
         eval_f(catalog_make("sawtooth", 2), np.zeros(3))
 

@@ -1,4 +1,4 @@
-"""A noisy draw chunk's payload drawn block by block (smoothing._drawn_blocks): its
+"""A noisy draw chunk's payload drawn block by block (smoothing._g_delta_mean): its
 estimates must have the bytes of the whole-chunk payload draw and leave the stream
 where that draw does, and each chunk must still pass its row count once through each
 sampler, so that span counts see the same totals."""
@@ -38,10 +38,7 @@ def test_payload_pieces_equal_one_whole_draw(problem, d, kind):
     whole = _sample_xi_batch(spec, n, rng)
     want = (whole.tobytes().hex(), _stream_end(rng))
     rng = substream(41, "pieces", d)
-    got, left = [], n
-    for k in pieces:
-        left -= k
-        got.append(_sample_xi_batch(spec, k, rng, left))
+    got = [_sample_xi_batch(spec, k, rng) for k in pieces]
     assert (np.concatenate(got).tobytes().hex(), _stream_end(rng)) == want
 
 
@@ -97,17 +94,19 @@ def test_payload_blocks_past_the_real_chunk(monkeypatch):
 
 @pytest.mark.parametrize("row_stream", [False, True])
 @pytest.mark.parametrize("where", ["inside a block", "a block's last row",
-                                   "among the replacement rows"])
-def test_zero_payload_rows_are_redrawn_as_in_the_whole_chunk(monkeypatch, where, row_stream):
+                                   "two, the second where the whole draw replaces the first"])
+def test_zero_payload_rows_are_skipped_as_in_the_whole_chunk(monkeypatch, where, row_stream):
     # the quadratic's payload rows follow the chunk's m direction rows in the stream; a
-    # zero payload row draws the rest of the chunk's payload with its block, and the
-    # redraw then takes rows after all 2m, as the whole-chunk draw does
+    # block with a zero payload row skips it and draws one row more right after its draw,
+    # and the blocks after it take the rows after that, as the whole-chunk draw does
     d = 8
     step = objectives._block_rows(d)
     m = 3 * step + 40
-    zeros = {"inside a block": (m + step + 5,),
-             "a block's last row": (m + 2 * step - 1,),
-             "among the replacement rows": (m + 7, 2 * m)}[where]
+    # the zero rows, and the blocks that skip one
+    zeros, skips = {"inside a block": ((m + step + 5,), [1]),
+                    "a block's last row": ((m + 2 * step - 1,), [1]),
+                    "two, the second where the whole draw replaces the first":
+                        ((m + 7, 2 * m), [0, 3])}[where]
     spec = _spec("quadratic-smooth", d, None)
     x = substream(44, "zero-payload-x").uniform(-0.3, 0.3, d)
     stubs = []
@@ -116,18 +115,17 @@ def test_zero_payload_rows_are_redrawn_as_in_the_whole_chunk(monkeypatch, where,
         stubs.append(_ZeroRowStream(d, *zeros))
         rng = _RowStream(stubs[-1], d) if row_stream else stubs[-1]
         mean, se = smoothing._g_delta_mean(spec, x, 0.3, m, rng, want_se=True)
-        return _hex(mean), _hex(se), stubs[-1].drawn
+        return _hex(mean), _hex(se), _hex(objectives._unit_rows(d, 5, rng))
 
     blocked, whole = _streamed_and_whole(monkeypatch, call)
     assert blocked == whole
     if not row_stream:
-        # whole: W, the payload, one redraw row per zero (a zero replacement is redrawn
-        # again); blocked: W, whole blocks up to the zero's, then the rest of the chunk
-        redraws = [(1, d)] * len(zeros)
-        assert stubs[1].shapes == [(m, d), (m, d), *redraws]
-        first = (zeros[0] - m) // step
-        assert stubs[0].shapes == ([(m, d)] + [(step, d)] * (first + 1)
-                                   + [(m - (first + 1) * step, d)] + redraws)
+        # whole: W, the payload and one row per zero; blocked: W, then each block and
+        # one row after each block that skips a zero
+        assert stubs[1].shapes == [(m, d), (m, d)] + [(1, d)] * len(zeros) + [(5, d)]
+        blocks = [[(k, d)] + [(1, d)] * skips.count(i)
+                  for i, k in enumerate([step, step, step, m - 3 * step])]
+        assert stubs[0].shapes == [(m, d)] + sum(blocks, []) + [(5, d)]
 
 
 @pytest.mark.parametrize("with_y", [False, True])

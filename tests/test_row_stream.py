@@ -37,97 +37,115 @@ def _assert_takes_match(d, takes, make_rng):
     where the twin's is."""
     rng, twin = make_rng(), make_rng()
     stream = _RowStream(rng, d)
-    for n, more in takes:
-        got = _unit_rows(d, n, stream, more)
-        want = _unit_rows(d, n, twin, more)
+    for n in takes:
+        got = _unit_rows(d, n, stream)
+        want = _unit_rows(d, n, twin)
         assert got.shape == want.shape
-        assert got.tobytes() == want.tobytes(), (n, more)
+        assert got.tobytes() == want.tobytes(), n
     return rng, twin
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 8, 64])
 def test_takes_match_unit_rows(d):
     sizes = _sizes(d)
-    flush = [(3 * _block(d), 0)]
+    flush = [3 * _block(d)]
     mixed = sizes + sizes[::-1] + random.Random(d).choices(sizes, k=40)
     for takes in [[n] * 3 for n in sizes] + [mixed]:
         def make():
             return substream(31, "row-stream", d)
 
-        rng, twin = _assert_takes_match(d, [(n, 0) for n in takes] + flush, make)
+        rng, twin = _assert_takes_match(d, takes + flush, make)
         assert _hex(rng.standard_normal(5)) == _hex(twin.standard_normal(5))
 
 
 def _zero_cases(d):
     b = _block(d)
     return [
-        # a zero row inside a take, replaced by the row after the take
-        ((12,), [(4, 0), (5, 0), (50, 0), (50, 0)]),
-        # the last row of a block: moved to the front by a refill, then taken;
-        # and a take that ends the block exactly
-        ((b - 1,), [(50, 0)] * (b // 50 + 2)),
-        ((b - 1,), [(b, 0), (5, 0)]),
-        # zero rows among the replacement rows, over several rounds
-        ((12, 59), [(4, 0), (5, 0), (50, 0), (50, 0)]),
-        ((12, 13, 59, 60, 61), [(4, 0), (5, 0), (50, 0), (50, 0)]),
-        # a replacement drawn past the end of a block
-        ((b - 3,), [(b - 3, 0), (3, 0), (7, 0)]),
-        # inside a take of more than a block: in its direct draw, and in the block's
-        # remainder it starts with
-        ((2 * b,), [(100, 0), (3 * b, 0)]),
-        ((60,), [(50, 0), (3 * b, 0)]),
-        # the whole-chunk rule: a piece with a zero row draws the rows still to come
-        ((30,), [(50, 20), (9, 0)]),
-        ((b + 2,), [(b - 1, 0), (40, 3 * b), (5, 0)]),
-        ((55,), [(50, 20), (9, 0)]),  # no zero in the piece: only its rows
+        # a zero row inside a take, skipped by the refill that draws it
+        ((12,), [4, 5, 50, 50]),
+        # the last row of a refill's draw: the refill draws one row more
+        ((b - 1,), [50] * (b // 50 + 2)),
+        # the same row inside a take of a whole block, which draws directly
+        ((b - 1,), [b, 5]),
+        # two zero rows in one draw, and a run of them
+        ((12, 59), [4, 5, 50, 50]),
+        ((12, 13, 59, 60, 61), [4, 5, 50, 50]),
+        # the first row of a refill, after a direct take that ends just before it
+        ((b - 3,), [b - 3, 3, 7]),
+        # inside a take of more than a block: in its direct draw, and in the block
+        # whose remainder it starts with
+        ((2 * b,), [100, 3 * b]),
+        ((60,), [50, 3 * b]),
+        # zero rows where the rows that fill the end would come from, over several rounds
+        ((12, b), [4, 5, 50, 50]),
+        ((12, b, b + 1, b + 2), [4, 5, 50, 50]),
+        # zero rows in successive refills
+        ((b - 1, b + 40, 2 * b + 3), [50] * (2 * b // 50 + 4)),
     ]
 
 
 @pytest.mark.parametrize("fill", [0.0, 1e-200])
 @pytest.mark.parametrize("d", [3, 8])
 @pytest.mark.parametrize("case", range(11))
-def test_zero_rows_are_replaced_as_unit_rows_replaces_them(d, case, fill):
-    # fill = 1e-200: rows whose norm underflows to 0 are redrawn like zero rows
+def test_zero_rows_are_skipped_as_unit_rows_skips_them(d, case, fill):
+    # fill = 1e-200: rows whose norm underflows to 0 are skipped like zero rows
     zeros, takes = _zero_cases(d)[case]
-    flush = [(3 * _block(d), 0)]
+    flush = [3 * _block(d)]
     rng, twin = _assert_takes_match(d, takes + flush,
                                     lambda: _ZeroRowStream(d, *zeros, fill=fill))
     assert rng.drawn == twin.drawn
-    # every case replaces at least one zero row
-    assert twin.drawn > d * sum(n for n, _ in takes + flush)
+    # every case skips at least one zero row
+    assert twin.drawn > d * sum(takes + flush)
 
 
-def test_small_takes_are_copies_of_the_block(monkeypatch):
-    # zero-free takes of at most half a block come straight from the block: only a
-    # refill draws, and each refill draws more than half a block
+@pytest.mark.parametrize("fill", [0.0, 1e-200])
+@pytest.mark.parametrize("d", [1, 3, 8])
+def test_samplers_skip_the_rows_sample_sphere_skips(d, fill):
+    # the reference definition: n one-row draws, each redrawn until its norm is not 0.
+    # The zero rows lie inside the stream's first block, at its end, across it into the
+    # next row, and in a direct draw.  sample_sphere takes its 1-D norm as a dot product,
+    # whose sum may round 1 ulp away from the row sums', and the division rounds again,
+    # so at d <= 8 the rows agree to 2 ulp
+    b = _block(d)
+    takes = [1, 7, 50, b - 3, 2 * b]
+    n = sum(takes)
+    zeros = (20, b - 1, b, 2 * b + 7)
+    stubs = [_ZeroRowStream(d, *zeros, fill=fill) for _ in range(3)]
+    want = np.array([smoothing.sample_sphere(d, stubs[0]) for _ in range(n)])
+    whole = _unit_rows(d, n, stubs[1])
+    stream = _RowStream(stubs[2], d)
+    pieces = np.concatenate([_unit_rows(d, k, stream) for k in takes])
+    for got in (whole, pieces):
+        np.testing.assert_array_max_ulp(got, want, maxulp=2)
+    assert stubs[0].drawn == stubs[1].drawn == stubs[2].drawn == d * (n + len(zeros))
+
+
+def test_small_takes_are_copies_of_the_block():
+    # takes of at most half a block come straight from the block: the generator draws
+    # only refills, each of more than half a block
     d = 8
-    calls = []
-    rng = substream(33, "fast-takes")
+    rng = _ZeroRowStream(d)
     stream = _RowStream(rng, d)
-    monkeypatch.setattr(_RowStream, "_rows", lambda self, k: calls.append(k))
-    refills, real_refill = [], _RowStream._refill
-    monkeypatch.setattr(_RowStream, "_refill",
-                        lambda self: refills.append(1) or real_refill(self))
     total = 0
     half = _block(d) // 2
     for n in [1, 4, 5, 50, half - 3, 3, half, 7] * 20:
         _unit_rows(d, n, stream)
         total += n
-    assert calls == []
-    assert len(refills) <= 2 * total // _block(d) + 1
+    assert all(rows > half for rows, _ in rng.shapes)
+    assert len(rng.shapes) <= 2 * total // _block(d) + 1
 
 
-def test_run_with_a_more_take_matches_the_plain_generator(monkeypatch):
+def test_run_with_takes_past_a_block_matches_the_plain_generator(monkeypatch):
     # noise-free sawtooth d=8 at eps = 0.05: each refresh draws n = 6,400 rows, more than
-    # one compute block, so smoothing._drawn_blocks takes its first block with more > 0
+    # one compute block, so the estimate takes its directions a block at a time
     spec = catalog_make("sawtooth", 8)
     params = derive_params_qgfm(8, spec.L, 0.3, 0.05, spec.delta_0)
     start = substream(32, "more-run-x").uniform(-0.5, 0.5, 8)
     takes, real_take = [], _RowStream.take
 
-    def take(self, n, more=0):
-        takes.append((n, more))
-        return real_take(self, n, more)
+    def take(self, n):
+        takes.append(n)
+        return real_take(self, n)
 
     def run():
         return _run_summary(qgfm(spec, start, params, SmoothingParams(0.3), CostModel(), 3,
@@ -135,7 +153,7 @@ def test_run_with_a_more_take_matches_the_plain_generator(monkeypatch):
 
     monkeypatch.setattr(_RowStream, "take", take)
     streamed = run()
-    assert takes == [(4096, 2304), (2304, 0)] * 3
+    assert takes == [4096, 2304] * 3
     monkeypatch.setattr(algorithms, "_draws_unit_rows", lambda spec: False)
     assert run() == streamed
     assert len(takes) == 6
@@ -187,7 +205,7 @@ def test_eligible_runs_keep_the_sampler_boundaries(monkeypatch, algorithm, probl
 
     def spy(calls, real):
         def wrapped(*args, **kwargs):
-            assert not kwargs or set(kwargs) == {"more"}
+            assert not kwargs
             if isinstance(args[2], _RowStream):
                 calls.append(args[:2])
             return real(*args, **kwargs)
