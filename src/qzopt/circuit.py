@@ -219,9 +219,7 @@ def measure_sample(state: StateVector, rng: np.random.Generator) -> SampleOutcom
     A one-row measure_sample_batch: uniform(size=1) draws the same double
     as uniform(), so the stream advances exactly as for a scalar draw.
     """
-    xi, W, valid = measure_sample_batch(state, 1, rng)
-    ok = bool(valid[0])
-    return SampleOutcome(xi=int(xi[0]), w=W[0] if ok else None, valid=ok)
+    return _first_outcome(*measure_sample_batch(state, 1, rng))
 
 
 def measure_sample_batch(
@@ -252,38 +250,32 @@ def pipeline_sample_batch(
     xi is uniform on m1 bits and each coordinate's bit sum is
     Binomial(m2, 1/2), exactly the marginals the state-vector path
     measures; the decode from sums onward is shared code.  The rows are
-    _pipeline_blocks' blocks, collected.
+    the blocks of _xi_blocks and then of _w_blocks, collected.
     """
     n = _check_int("n", n, 0)
-    xi_blocks, w_blocks = _pipeline_blocks(layout, n, rng)
     xi = np.empty(n, dtype=np.int64 if layout.m1 <= 62 else object)
-    for start, stop, xi_block in xi_blocks:
+    for start, stop, xi_block in _xi_blocks(layout.m1, n, rng):
         xi[start:stop] = xi_block
     W = np.empty((n, layout.d))
     valid = np.empty(n, dtype=bool)
-    for start, stop, W_block, valid_block in w_blocks:
+    for start, stop, W_block, valid_block in _w_blocks(layout, n, rng):
         W[start:stop], valid[start:stop] = W_block, valid_block
     return xi, W, valid
 
 
-def _pipeline_blocks(layout: RegisterLayout, n: int, rng: np.random.Generator):
-    """pipeline_sample_batch's draws as two generators, of
-    (start, stop, xi[start:stop]) and then of
-    (start, stop, W[start:stop], valid[start:stop]).
+def _xi_blocks(m1: int, n: int, rng: np.random.Generator):
+    """pipeline_sample_batch's xi draws as (start, stop, xi[start:stop]), and
+    _w_blocks' as (start, stop, W[start:stop], valid[start:stop]).
 
     Each draws one block of rows at a time, right before it is used: xi in
-    blocks of _block_rows(m1) rows, and the bit sums, decoded, in blocks of
-    _block_rows(d) rows.  Both draws fill elements in order, and the bit
-    generator keeps the spare half of a 64-bit word that a 32-bit integer
-    draw splits, so the blocks hold the values of one whole draw.  Read the
-    xi blocks to the end, then the w blocks, and both before the next draw
-    from rng, to leave the stream where one pipeline_sample_batch call does.
+    blocks of _block_rows(m1) rows, int64 values while they fit in 62 bits and
+    bits packed into Python ints above that, and the bit sums, decoded, in
+    blocks of _block_rows(d) rows.  Both draws fill elements in order, and the
+    bit generator keeps the spare half of a 64-bit word that a 32-bit integer
+    draw splits, so the blocks hold the values of one whole draw.  Read the xi
+    blocks to the end, then the w blocks, and both before the next draw from
+    rng, to leave the stream where one pipeline_sample_batch call does.
     """
-    return _xi_blocks(layout.m1, n, rng), _w_blocks(layout, n, rng)
-
-
-def _xi_blocks(m1: int, n: int, rng: np.random.Generator):
-    # int64 values while they fit in 62 bits; bits packed into Python ints above that
     step = _block_rows(m1)
     for start in range(0, n, step):
         stop = min(start + step, n)
@@ -325,7 +317,11 @@ def pipeline_sample(layout: RegisterLayout, rng: np.random.Generator) -> SampleO
     Invalid outcomes are reported, keeping the output distribution exactly
     equal to measure_sample's.
     """
-    xi, W, valid = pipeline_sample_batch(layout, 1, rng)
+    return _first_outcome(*pipeline_sample_batch(layout, 1, rng))
+
+
+def _first_outcome(xi: np.ndarray, W: np.ndarray, valid: np.ndarray) -> SampleOutcome:
+    """The first row of a (xi, W, valid) batch as a SampleOutcome."""
     ok = bool(valid[0])
     return SampleOutcome(xi=int(xi[0]), w=W[0] if ok else None, valid=ok)
 

@@ -10,7 +10,7 @@ import sys
 
 import numpy as np
 
-from .circuit import RegisterLayout, _pipeline_blocks, invalid_probability
+from .circuit import RegisterLayout, _w_blocks, _xi_blocks, invalid_probability
 from .harness import (
     ConfigError,
     _check_schedules,
@@ -142,16 +142,15 @@ def _cmd_circuit_demo(args: argparse.Namespace) -> int:
     # the draws block by block: xi is counted a block at a time (past 1024 cells it
     # is drawn only to keep the stream), the valid last coordinates, in order,
     # fill a prefix of last, and min and max of the valid rows' norms are exact
-    xi_blocks, w_blocks = _pipeline_blocks(layout, args.n, rng)
     cells = 1 << layout.m1
     counts = np.zeros(cells, dtype=np.int64) if cells <= 1024 else None
-    for _, _, xi in xi_blocks:
+    for _, _, xi in _xi_blocks(layout.m1, args.n, rng):
         if counts is not None:
             counts += np.bincount(xi, minlength=cells)
     last = np.empty(args.n)
     n_valid = 0
     lo, hi = np.inf, -np.inf
-    for _, _, W, valid in w_blocks:
+    for _, _, W, valid in _w_blocks(layout, args.n, rng):
         norms = _row_norms(W)[valid]
         if norms.size:
             lo, hi = min(lo, norms.min()), max(hi, norms.max())

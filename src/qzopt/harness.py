@@ -334,10 +334,12 @@ class SlopeFit:
 
 
 def fit_loglog(points) -> SlopeFit:
-    """OLS line through already-log-transformed (abscissa, ordinate) pairs."""
+    """OLS line through already-log-transformed, finite (abscissa, ordinate) pairs."""
     pts = tuple((float(a), float(b)) for a, b in points)
     xs = np.array([p[0] for p in pts])
     ys = np.array([p[1] for p in pts])
+    if not np.isfinite(pts).all():
+        raise ValueError("fit points must be finite")
     if len(set(xs.tolist())) < 2:
         raise ValueError("need at least 2 distinct abscissae")
     slope, intercept = np.polyfit(xs, ys, 1)

@@ -13,7 +13,9 @@ below, which do two independent jobs:
    estimation rate sqrt(d) * L_hat / sigma_hat (times the queries per
    sample: a single two-point sample costs 2 U_F queries, a shared-draw
    difference sample costs 4).  In classical mode the charge is the
-   actual number of function evaluations performed.
+   classical batch size at that accuracy, the evaluations performed
+   except where the value is exact: estimate_sgrad_diff draws nothing
+   and charges ceil(l^2 ||x - y||^2 / sigma_hat^2).
 
 Only the ledger distinguishes the modes: realized estimates are
 identical draw-for-draw under the same random stream, so trajectories

@@ -23,7 +23,6 @@ the sawtooth) or in "mc" mode (ball-sampling mean with a standard error).
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -177,7 +176,8 @@ def _g_delta_mean(
     chunk splits into blocks moves no draw.  A noisy chunk draws W whole,
     since its payload follows W in the stream, then its payload block by
     block, right before each block is evaluated; a noise-free chunk draws W
-    block by block.  So a noisy chunk holds one chunk-sized array, its W.
+    block by block and no payload.  So a chunk holds at most one chunk-sized
+    array, a noisy chunk's W.
     Compute block: a chunk longer than one block of objectives._BLOCK
     elements is evaluated over blocks of _block_rows(d) rows, a multiple of
     64, so that each block's point sets split into the same 4-row groups of
@@ -195,10 +195,12 @@ def _g_delta_mean(
     with each chunk and the chunk sums add up in chunk order, so the result
     does not depend on the block size.
     """
+    noisy = spec.noise_kind != "none"
     if not want_se and n <= _CHUNK and len(_block_bounds(n, spec.d)) == 1:
         # one chunk of one block: the loop's bytes without the loop
         W = _sphere_batch(spec.d, n, rng)
-        diffs = _g_delta_rows(spec, x, delta, W, _sample_xi_batch(spec, n, rng), y)
+        payload = _sample_xi_batch(spec, n, rng) if noisy else None
+        diffs = _g_delta_rows(spec, x, delta, W, payload, y)
         mean = _col_sums(W, diffs[0]) if y is None else _col_sums(_g_rows(W, diffs))
         mean /= n
         return mean
@@ -207,16 +209,12 @@ def _g_delta_mean(
     left = n
     while left > 0:
         m = min(left, _CHUNK)
-        bounds = _block_bounds(m, spec.d)
-        if spec.noise_kind == "none":
-            W_blocks = (_sphere_batch(spec.d, b - a, rng) for a, b in bounds)
-            payloads = itertools.repeat(None)
-        else:
+        if noisy:
             W = _sphere_batch(spec.d, m, rng)
-            W_blocks = (W[a:b] for a, b in bounds)
-            payloads = (_sample_xi_batch(spec, b - a, rng) for a, b in bounds)
         acc = acc_sq = None
-        for Wb, pb in zip(W_blocks, payloads):
+        for a, b in _block_bounds(m, spec.d):
+            Wb = W[a:b] if noisy else _sphere_batch(spec.d, b - a, rng)
+            pb = _sample_xi_batch(spec, b - a, rng) if noisy else None
             diffs = _g_delta_rows(spec, x, delta, Wb, pb, y)
             if y is None and not want_se:
                 acc = _col_sums(Wb, diffs[0], acc)

@@ -42,6 +42,8 @@ from qzopt.smoothing import (
     sample_sphere,
 )
 
+pytestmark = pytest.mark.slow
+
 SM = SmoothingParams(0.1)
 
 

@@ -189,6 +189,18 @@ def test_fit_loglog_exact():
         fit_loglog([(1.0, 2.0), (1.0, 3.0)])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("coord", [0, 1])
+def test_fit_loglog_rejects_non_finite_points(capfd, bad, coord):
+    # checked before np.polyfit, which fits a NaN ordinate to slope nan and prints a
+    # LAPACK error to stderr for a non-finite abscissa
+    pts = [[0.0, 1.0], [1.0, 3.0], [2.0, 5.0]]
+    pts[1][coord] = bad
+    with pytest.raises(ValueError, match="finite"):
+        fit_loglog(pts)
+    assert capfd.readouterr().err == ""
+
+
 def test_scaling_sweep_grid_validation():
     with pytest.raises(ConfigError, match="at least 3"):
         scaling_sweep(small_config(eps_grid=(0.4, 0.1)))

@@ -57,7 +57,7 @@ from qzopt import (
     substream,
 )
 from qzopt import objectives, smoothing
-from qzopt.circuit import _pipeline_blocks
+from qzopt.circuit import _w_blocks, _xi_blocks
 from qzopt.cli import main as cli_main
 
 D = 3
@@ -921,8 +921,8 @@ def test_pipeline_blocks_concatenate_to_the_batch(m1, m2):
     n = 10_001
     step = objectives._block_rows(layout.d)
     rng = substream(21, "pipeline-blocks", m1, m2)
-    xi_blocks, blocks = _pipeline_blocks(layout, n, rng)
-    xi_blocks, blocks = list(xi_blocks), list(blocks)
+    xi_blocks = list(_xi_blocks(m1, n, rng))
+    blocks = list(_w_blocks(layout, n, rng))
     xi_step = objectives._block_rows(m1)
     assert [(start, stop) for start, stop, _ in xi_blocks] == [
         (start, min(start + xi_step, n)) for start in range(0, n, xi_step)]

@@ -13,6 +13,8 @@ import pytest
 
 from qzopt import ExperimentConfig, run_experiment
 
+pytestmark = pytest.mark.slow
+
 CELLS = [
     ("qgfm", "constant", 3, 0.0),
     ("qgfm", "abs-linear", 4, 0.1),

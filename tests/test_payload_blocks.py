@@ -189,3 +189,31 @@ def test_each_chunk_passes_its_rows_once_through_each_sampler(monkeypatch, probl
         # one whole direction draw per chunk, then its payload a block at a time
         assert [k for label, k in calls if label == "W"] == sizes
         assert max(k for label, k in calls if label == "xi") <= step + 1
+
+
+@pytest.mark.parametrize("want_se", [False, True])
+@pytest.mark.parametrize("with_y", [False, True])
+@pytest.mark.parametrize("blocks", [1, 3])
+@pytest.mark.parametrize("problem,d,kind", NOISY + (("abs-linear", 8, "none"),
+                                                    ("sawtooth", 3, "none"),
+                                                    ("quadratic-smooth", 64, "none")))
+def test_payload_drawn_once_per_block_and_never_without_noise(monkeypatch, problem, d, kind,
+                                                              blocks, with_y, want_se):
+    # a noisy estimate asks _sample_xi_batch for each compute block's payload once; a
+    # noise-free one never asks, in the one-block shortcut (one block, no SE) or the loop
+    spec = catalog_make(problem, d, 0.0 if kind == "none" else 0.5, kind)
+    # one full block, or blocks whose last is short
+    n = blocks * objectives._block_rows(d) - (3 if blocks > 1 else 0)
+    calls = []
+
+    def spy(spec, k, rng):
+        calls.append(k)
+        return _sample_xi_batch(spec, k, rng)
+
+    monkeypatch.setattr(smoothing, "_sample_xi_batch", spy)
+    x = substream(47, "xi-spy-x", d).uniform(-0.3, 0.3, d)
+    y = x + 0.01 if with_y else None
+    smoothing._g_delta_mean(spec, x, 0.3, n, substream(47, "xi-spy", d), want_se=want_se, y=y)
+    bounds = smoothing._block_bounds(n, d)
+    assert len(bounds) == blocks
+    assert calls == ([b - a for a, b in bounds] if spec.noise_kind != "none" else [])
