@@ -133,10 +133,26 @@ def _chisquare(counts: np.ndarray) -> tuple[float, float]:
     return stat, special.chdtrc(np.float64(f.size - 1), stat)
 
 
+def _moments_in_place(values: np.ndarray) -> tuple[np.float64, np.float64]:
+    """The mean and variance of values, by np.var's own operations (the same
+    pairwise sums and the same divisions, so the same bytes), with values
+    overwritten by the squared deviations instead of a temporary of its length."""
+    mean = values.mean()
+    np.subtract(values, mean, out=values)
+    np.multiply(values, values, out=values)
+    return mean, values.sum() / values.size
+
+
 def _cmd_circuit_demo(args: argparse.Namespace) -> int:
     layout = RegisterLayout(m1=args.m1, m2=args.m2, d=args.d)
     if args.n < 1:
         raise ConfigError("n must be positive")
+    try:
+        # the one n-long array, held before the first draw so that an n it cannot
+        # hold exits 2 at once
+        last = np.empty(args.n)
+    except (ValueError, MemoryError) as exc:
+        raise ConfigError(f"cannot hold n={args.n} draws: {exc}") from None
     seed = args.seed if args.seed is not None else 0
     rng = substream(seed, "circuit-demo")
     # the draws block by block: xi is counted a block at a time (past 1024 cells it
@@ -147,7 +163,6 @@ def _cmd_circuit_demo(args: argparse.Namespace) -> int:
     for _, _, xi in _xi_blocks(layout.m1, args.n, rng):
         if counts is not None:
             counts += np.bincount(xi, minlength=cells)
-    last = np.empty(args.n)
     n_valid = 0
     lo, hi = np.inf, -np.inf
     for _, _, W, valid in _w_blocks(layout, args.n, rng):
@@ -156,6 +171,7 @@ def _cmd_circuit_demo(args: argparse.Namespace) -> int:
             lo, hi = min(lo, norms.min()), max(hi, norms.max())
             last[n_valid:n_valid + norms.size] = W[valid, -1]
             n_valid += norms.size
+        del W  # not held while the next block is drawn
     last = last[:n_valid]
     print(f"layout: m1={layout.m1} m2={layout.m2} d={layout.d} "
           f"({layout.total_qubits} qubits total)")
@@ -165,10 +181,12 @@ def _cmd_circuit_demo(args: argparse.Namespace) -> int:
         print("no valid samples drawn")
         return 0
     print(f"||w|| on valid samples: min {lo:.12f} max {hi:.12f}")
-    print(f"w_last moments: mean {last.mean():+.4f} var {last.var():.4f}")
     if layout.d == 3:
         from scipy import stats  # kstwo has no scipy.special kernel; only d = 3 loads stats
         ks = stats.kstest(last, stats.uniform(loc=-1.0, scale=2.0).cdf)
+    mean, var = _moments_in_place(last)  # after KS, which reads last
+    print(f"w_last moments: mean {mean:+.4f} var {var:.4f}")
+    if layout.d == 3:
         print(f"KS w_3 vs uniform[-1,1]: D {ks.statistic:.4f} p {ks.pvalue:.4f}")
     if counts is not None:
         stat, p = _chisquare(counts)

@@ -89,11 +89,15 @@ def verify_stationary(
 
     Returns "accepted" when estimate + half_width <= eps, "rejected" when
     estimate - half_width > eps, and otherwise doubles the sample size up
-    to a hard cap before giving up with "inconclusive".  A non-finite
-    point or eps raises ValueError before any draw.
+    to the hard cap VERIFY_N_CAP before giving up with "inconclusive".
+    Every round, the first included, draws at most VERIFY_N_CAP rows.  A
+    non-finite point or eps, or an n0 above the cap, raises ValueError
+    before any draw.
     """
     eps = _check_real("eps", eps)
     n = max(2, _check_int("n0", n0, 1))
+    if n > VERIFY_N_CAP:
+        raise ValueError(f"n0 must be at most VERIFY_N_CAP = {VERIFY_N_CAP}")
     while True:
         verdict = _interval_verdict(goldstein_residual(spec, x, params, n, confidence, rng), eps)
         if verdict != "inconclusive" or n >= VERIFY_N_CAP:

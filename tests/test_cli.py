@@ -6,9 +6,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qzopt import harness, stationarity
-from qzopt.cli import _chisquare, main
+from qzopt import cli, harness, stationarity
+from qzopt.cli import _chisquare, _moments_in_place, main
 from test_smoothing import _peak_bytes
 
 CONFIG = """\
@@ -217,10 +219,13 @@ def test_chisquare_matches_scipy_stats_bytes(counts):
 
 
 # sha256 of the stdout of `circuit-demo --m1 8 --m2 256 --n 2000`, recorded while the
-# chi2 test still called scipy.stats.chisquare
+# chi2 test still called scipy.stats.chisquare (d = 2, 8) and while the w_last
+# moments still came from last.mean() and last.var() (d = 3, where KS reads last too)
 CIRCUIT_DEMO_STDOUT = {
     (2, 0): "456804abffe889bc35e9a802239624470d61ab2e76e8d608cea1a3ec78f943f0",
     (2, 1): "a0a188a5dcd3d3f803e404d46429d1b42ce683790170fc07cbaf6bec97474010",
+    (3, 0): "961302845f10dd452a0f1621d705029c42b0a2bfcef0381b40c3c7e52adf783c",
+    (3, 1): "abc13d9dfee496081226f0e8a9a870e19f2cb65fcbb5c036664a62b635653d9e",
     (8, 0): "39721ca2b3fa80c988d287582c3fa7a3c11a0ea95748ad940a415eac4d8ddf48",
     (8, 1): "08616f5db468bd8eba291d9374c96c33003a45b08facce485f19bfbe1596df9f",
 }
@@ -262,18 +267,51 @@ def test_circuit_demo_wide_even_register(capsys):
 def test_circuit_demo_peak_memory(capsys):
     # xi is drawn and counted, and the bit sums drawn and decoded, block by block, so
     # no n x d array and no n-long xi is built: the demo holds the valid last
-    # coordinates and one temporary of their length (for their variance)
+    # coordinates, and their moments are computed in place in that one array
     args = ["circuit-demo", "--m1", "8", "--m2", "256", "--d", "8", "--seed", "1", "--n"]
     assert main(args + ["100"]) == 0  # imports scipy.special outside the measured call
     n, d = 200_000, 8
     peak = _peak_bytes(lambda: main(args + [str(n)]))
     assert "||w|| on valid samples" in capsys.readouterr().out
-    assert peak < 2 * n * 8 + 2**20 < n * d * 8
+    assert peak < n * 8 + 2**20 < n * d * 8
 
 
 def test_circuit_demo_bad_n(capsys):
     assert main(["circuit-demo", "--m1", "1", "--m2", "2", "--d", "2", "--n", "0"]) == 2
     assert "must be positive" in capsys.readouterr().err
+
+
+def test_circuit_demo_unholdable_n_exits_2_before_any_draw(monkeypatch, capsys):
+    # the array of n last coordinates is allocated before the first xi block, so an
+    # n it cannot hold exits 2 at once; the spy fails the test if a draw begins
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        raise AssertionError("xi drawn before n was checked")
+
+    monkeypatch.setattr(cli, "_xi_blocks", spy)
+    args = ["circuit-demo", "--m1", "1", "--m2", "2", "--d", "2", "--n", str(2**62)]
+    assert main(args) == 2
+    assert capsys.readouterr().err.startswith("error: cannot hold n=4611686018427387904")
+    assert calls == []
+
+
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([0.0, -0.0])
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 127, 128, 129, 200_000])
+@settings(max_examples=40, deadline=None)
+@given(pool=st.lists(_FLOATS, min_size=1, max_size=64), seed=st.integers(0, 2**32 - 1))
+def test_moments_in_place_match_numpy_bytes(n, pool, seed):
+    # n values picked from a drawn pool: the in-place moments must have the bytes of
+    # np.mean and np.var (same pairwise sums below and above numpy's 8- and 128-element
+    # unroll and block sizes, same divisions), whatever the magnitudes and signed zeros
+    values = np.random.default_rng(seed).choice(np.array(pool + [0.0, -0.0]), size=n)
+    with np.errstate(all="ignore"):
+        want = np.mean(values.copy()), np.var(values.copy())
+        got = _moments_in_place(values)
+    assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
 
 
 def test_verify_command(capsys):

@@ -159,6 +159,31 @@ def test_verify_stationary_inconclusive_at_threshold(monkeypatch):
     assert got == "inconclusive"
 
 
+def test_verify_stationary_caps_the_first_round(monkeypatch):
+    # the cap holds for every round, the first included: an n0 above the cap (read
+    # at call time) raises before any draw, and an n0 at the cap runs one round of it
+    rounds, real = [], st_mod.goldstein_residual
+
+    def spy(spec, x, params, n, confidence, rng):
+        rounds.append(n)
+        return real(spec, x, params, n, confidence, rng)
+
+    monkeypatch.setattr(st_mod, "goldstein_residual", spy)
+    speca = catalog_make("abs-linear", 2, direction=np.array([1.0, 0.0]))
+    rng = substream(8, "v6")
+    state = rng.bit_generator.state
+    for cap, n0 in [(2 * 10**4, 2 * 10**4 + 1), (2 * 10**4, 10**5),
+                    (st_mod.VERIFY_N_CAP, st_mod.VERIFY_N_CAP + 1)]:
+        monkeypatch.setattr(st_mod, "VERIFY_N_CAP", cap)
+        with pytest.raises(ValueError, match="VERIFY_N_CAP"):
+            verify_stationary(speca, np.array([3.0, 0.0]), SM, 1.0, 0.95, rng, n0=n0)
+    assert rounds == [] and rng.bit_generator.state == state
+    monkeypatch.setattr(st_mod, "VERIFY_N_CAP", 2 * 10**4)
+    assert verify_stationary(speca, np.array([3.0, 0.0]), SM, 1.0, 0.95, rng,
+                             n0=2 * 10**4) == "inconclusive"
+    assert rounds == [2 * 10**4]
+
+
 @pytest.mark.parametrize("estimate, half_width, eps, want", [
     (0.25, 0.125, 0.375, "accepted"),  # estimate + half_width == eps
     (0.5, 0.125, 0.375, "inconclusive"),  # estimate - half_width == eps
